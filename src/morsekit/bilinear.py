@@ -55,7 +55,6 @@ def _check_symmetric(matrix: np.ndarray, tol: Tolerances, what: str) -> None:
 def _eigh(matrix: np.ndarray, gram: np.ndarray | None = None):
     """Eigenvalues (and vectors) via LAPACK, wrapped in our error type."""
     if matrix.shape[0] == 0:
-        n = 0
         return np.empty(0), np.empty((0, 0))
     try:
         if gram is None:
@@ -115,10 +114,15 @@ class InnerProductSpace:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricForm:
-    """Bilinear form S(u, v) = u^T A v with symmetric A on a given space."""
+    """Bilinear form S(u, v) = u^T A v with symmetric A on a given space.
+
+    ``factored`` caches the form's one factorization (see :func:`factor`);
+    a caller that already holds the pencil's eigenvalues may pass them in.
+    """
 
     space: InnerProductSpace
     matrix: np.ndarray
+    factored: Factorization | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = as_backend_matrix(self.matrix, exact=self.space.exact)
@@ -175,6 +179,37 @@ class Inertia:
 
 
 @dataclass(frozen=True, eq=False)
+class Factorization:
+    """A form diagonalized once: values[i] is the form on column i of vectors.
+
+    Floating backend: eigenpairs of the pencil (matrix, gram), columns
+    gram-orthonormal.  Exact backend: an invertible C with
+    C^T A C = diag(values), so the zero columns span the kernel of A.
+    ``vectors`` is None when only the eigenvalues were kept.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray | None = None
+
+    def band(self, tol: Tolerances):
+        """Half-width of the zero band; 0 on the exact backend."""
+        return 0 if self.values.dtype == object else zero_band(self.values, tol)
+
+    def inertia(self, tol: Tolerances) -> Inertia:
+        w = self.values
+        if w.dtype != object:
+            return Inertia(*classify_spectrum(w, tol))
+        neg, zero = int(np.sum(w < 0)), int(np.sum(w == 0))
+        return Inertia(neg, zero, w.size - neg - zero)
+
+    def split(self, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The columns on which the form is negative, zero and positive."""
+        w, X = self.values, self.vectors
+        tau = self.band(tol)
+        return X[:, w < -tau], X[:, np.abs(w) <= tau], X[:, w > tau]
+
+
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace given by an independent (not necessarily orthonormal)
     basis; vectors are stored as columns of ``basis``."""
@@ -184,13 +219,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    def vectors(self) -> list[np.ndarray]:
-        return [self.basis[:, i] for i in range(self.dim)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,19 +236,14 @@ class Decomposition:
 def inertia(form: SymmetricForm, tol: Tolerances | None = None) -> Inertia:
     """Sign counts of the form, honoring the gram matrix of its space.
 
-    Counts are invariant under congruence, so they are computed from the
-    coefficient matrix directly on the exact backend; the floating path
-    solves the generalized symmetric eigenproblem against the gram matrix
-    (same signs, better conditioning for non-Euclidean spaces).
+    Counts are invariant under congruence, so they are read from the
+    form's factorization: the coefficient matrix directly on the exact
+    backend, the generalized symmetric eigenproblem against the gram
+    matrix on the floating one (same signs, better conditioning for
+    non-Euclidean spaces).
     """
     tol = tol or form.space.tol
-    if form.exact:
-        neg, zero, pos = exactla.inertia_counts(form.matrix)
-        return Inertia(neg, zero, pos, marginal=False)
-    gram = None if _is_identity(form.space.gram) else form.space.gram
-    w = _eigh(form.matrix, gram)[0]
-    neg, zero, pos, marginal = classify_spectrum(w, tol)
-    return Inertia(neg, zero, pos, marginal)
+    return (form.factored or factor(form)).inertia(tol)
 
 
 def morse_index(form: SymmetricForm, tol: Tolerances | None = None) -> int:
@@ -237,6 +260,22 @@ def _is_identity(g: np.ndarray) -> bool:
     return g.dtype != object and bool(np.array_equal(g, np.eye(g.shape[0])))
 
 
+def factor(form: SymmetricForm) -> Factorization:
+    """The form's factorization with its vectors, computed once and kept
+    on the form: one ``_eigh`` on the floating backend, one congruence
+    diagonalization on the exact backend."""
+    fac = form.factored
+    if fac is None or fac.vectors is None:
+        if form.exact:
+            C, diag = exactla.congruence_diagonalize(form.matrix)
+            fac = Factorization(np.array(diag, dtype=object), C)
+        else:
+            gram = None if _is_identity(form.space.gram) else form.space.gram
+            fac = Factorization(*_eigh(form.matrix, gram))
+        object.__setattr__(form, "factored", fac)
+    return fac
+
+
 def fundamental_decomposition(form: SymmetricForm,
                               tol: Tolerances | None = None) -> Decomposition:
     """Split the space along the form's eigenvectors (floating only).
@@ -247,14 +286,8 @@ def fundamental_decomposition(form: SymmetricForm,
     if form.exact:
         raise UnsupportedBackend("fundamental_decomposition needs the floating backend")
     tol = tol or form.space.tol
-    gram = None if _is_identity(form.space.gram) else form.space.gram
-    w, X = _eigh(form.matrix, gram)
-    tau = zero_band(w, tol)
-    neg = X[:, w < -tau]
-    zero = X[:, np.abs(w) <= tau]
-    pos = X[:, w > tau]
-    _, _, _, marginal = classify_spectrum(w, tol)
-    return Decomposition(neg, zero, pos, w, marginal)
+    fac = factor(form)
+    return Decomposition(*fac.split(tol), fac.values, fac.inertia(tol).marginal)
 
 
 def kernel_intersection(space: InnerProductSpace, constraints,
@@ -350,19 +383,10 @@ def maximal_negative_subspace_through(form: SymmetricForm, u,
     """
     tol = tol or form.space.tol
     u = as_backend_vector(u, form.exact)
-    suu = form.quadratic(u)
-    if form.exact:
-        if not suu < 0:
-            raise NotNegativeDirection("S(u, u) must be negative")
-        C, diag = exactla.congruence_diagonalize(form.matrix)
-        vecs = [C[:, i] for i, d in enumerate(diag) if d < 0]
-    else:
-        w, X = _eigh(form.matrix,
-                     None if _is_identity(form.space.gram) else form.space.gram)
-        tau = zero_band(w, tol)
-        if not suu < -tau * float(u.dot(u)):
-            raise NotNegativeDirection("S(u, u) must be negative beyond tolerance")
-        vecs = [X[:, i] for i in range(w.size) if w[i] < -tau]
+    fac = factor(form)
+    if not form.quadratic(u) < -fac.band(tol) * u.dot(u):
+        raise NotNegativeDirection("S(u, u) must be negative beyond the zero band")
+    vecs = list(fac.split(tol)[0].T)
     k = len(vecs)
     # the S-projection of u onto span(c_i) has square sum(w_i^2 / d_i),
     # which is <= S(u, u) < 0, so some pairing w_j = S(u, c_j) is nonzero

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .bilinear import InnerProductSpace, SymmetricForm, _eigh
+from .bilinear import Factorization, InnerProductSpace, SymmetricForm, _eigh
 from .constraints import ConstrainedReport, Functional, analyze
 from .errors import (
     DegenerateDirichletKernel,
@@ -107,6 +108,13 @@ class AssembledProblem:
     @property
     def boundary(self) -> np.ndarray:
         return np.array([0, self.n_nodes - 1])
+
+    @cached_property
+    def robin(self) -> np.ndarray:
+        """Eigenvalues of the Robin pencil (Qmat, Mmass), computed once for
+        both the index split and the weak index; the eigenvectors are not
+        kept."""
+        return _eigh(self.Qmat, self.Mmass)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +205,7 @@ def assemble(domain: IntervalDomain, coeffs: CoefficientSpec) -> AssembledProble
 def robin_spectrum(problem: AssembledProblem) -> np.ndarray:
     """Eigenvalues of Qmat x = lambda Mmass x, ascending; the count below
     the zero band is the Morse index of the discrete form."""
-    return _eigh(problem.Qmat, problem.Mmass)[0]
+    return problem.robin
 
 
 def dirichlet_spectrum(problem: AssembledProblem) -> np.ndarray:
@@ -233,10 +241,15 @@ def steklov_spectrum(problem: AssembledProblem,
     b is always the negative inertia of T - D_B; when both weights are
     positive this equals the number of pencil eigenvalues below 1.
     """
+    return _steklov(problem, dirichlet_spectrum(problem), tol)
+
+
+def _steklov(problem: AssembledProblem, delta: np.ndarray,
+             tol: Tolerances) -> SteklovResult:
+    """steklov_spectrum given the Dirichlet eigenvalues delta."""
     q_a, q_b = problem.coeffs.q_a, problem.coeffs.q_b
     if q_a + q_b <= 0:
         raise ZeroBoundaryWeight("both boundary weights vanish")
-    delta = dirichlet_spectrum(problem)
     if delta.size and np.min(np.abs(delta)) <= zero_band(delta, tol):
         raise DegenerateDirichletKernel(
             "a Dirichlet eigenvalue sits in the zero band; the boundary "
@@ -276,7 +289,7 @@ def verify_decomposition(problem: AssembledProblem,
     delta = dirichlet_spectrum(problem)
     d_neg, d_zero, _, dirichlet_marginal = classify_spectrum(delta, tol)
     a = d_neg + d_zero
-    stek = steklov_spectrum(problem, tol)
+    stek = _steklov(problem, delta, tol)
     degenerate = robin_marginal or dirichlet_marginal or stek.marginal
     return SpectrumReport(
         robin=lam,
@@ -297,18 +310,20 @@ def volume_functional(problem: AssembledProblem) -> Functional:
 
 def weak_index(problem: AssembledProblem, constraint="volume",
                tol: Tolerances = DEFAULT) -> ConstrainedReport:
-    """Morse index of Q restricted to mean-zero variations (or to the
-    kernel of a supplied functional), predicted and oracle-checked."""
-    form = SymmetricForm(InnerProductSpace(problem.Mmass, tol), problem.Qmat)
+    """Morse index of Q restricted to mean-zero variations, or to the joint
+    kernel of one functional or a list of them, predicted and
+    oracle-checked; the full-form counts are read off the Robin spectrum."""
+    form = SymmetricForm(InnerProductSpace(problem.Mmass, tol), problem.Qmat,
+                         Factorization(robin_spectrum(problem)))
     if isinstance(constraint, str):
         if constraint != "volume":
             raise InvalidCoefficients(f"unknown constraint kind {constraint!r}")
-        phi = volume_functional(problem)
-    elif isinstance(constraint, Functional):
-        phi = constraint
+        phis = [volume_functional(problem)]
+    elif isinstance(constraint, list):
+        phis = constraint
     else:
-        phi = Functional(np.asarray(constraint, dtype=float))
-    return analyze(form, [phi], tol)
+        phis = [constraint]
+    return analyze(form, phis, tol)
 
 
 def refine_and_check(problem: AssembledProblem, levels,

@@ -22,11 +22,10 @@ from .bilinear import (
     InnerProductSpace,
     SymmetricForm,
     as_backend_vector,
+    factor,
     float_rank,
     inertia,
     restrict,
-    _eigh,
-    _is_identity,
 )
 from .errors import (
     DependentConstraints,
@@ -34,7 +33,17 @@ from .errors import (
     FunctionalNotInRange,
     TrivialFunctional,
 )
-from .tolerances import Tolerances, zero_band
+from .tolerances import Tolerances
+
+
+# What one constraint does to the counts, by the branch its dual solve
+# lands in: branch -> (drop of the Morse index, change of the nullity).
+BRANCH_EFFECT = {
+    "negative": (1, 0),
+    "zero": (1, 1),
+    "positive": (0, 0),
+    "out_of_range": (0, -1),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +65,9 @@ class Functional:
 
 def as_functional(phi, exact: bool) -> Functional:
     if isinstance(phi, Functional):
-        return Functional(as_backend_vector(phi.coeffs, exact))
+        if (phi.coeffs.dtype == object) == exact:
+            return phi
+        phi = phi.coeffs
     return Functional(as_backend_vector(phi, exact))
 
 
@@ -80,6 +91,18 @@ class SolveOutcome:
     @property
     def in_range(self) -> bool:
         return self.status == "in_range"
+
+
+@dataclass(frozen=True, eq=False)
+class Decision:
+    """One constraint's branch, its ``BRANCH_EFFECT`` entry, whether the
+    sign of phi(u) sat near the zero band, and the dual solve behind it."""
+
+    branch: str
+    drop: int
+    change: int
+    marginal: bool
+    outcome: SolveOutcome
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +160,11 @@ def solve_dual(form: SymmetricForm, phi,
         x = exactla.solve_general(A, f)
         if x is not None:
             return SolveOutcome("in_range", u=x, phi_of_u=f.dot(x), residual=0.0)
-        kernel = exactla.nullspace(A)
-        K = np.stack(kernel, axis=1)
-        gram = form.space.gram
-        KGK = K.T.dot(gram.dot(K))
-        alpha = exactla.solve_general(KGK, K.T.dot(f))
-        z = K.dot(alpha)
+        # the zero congruence columns span Ker(A); z is the gram-orthogonal
+        # projection onto it, whatever basis spans it
+        K = factor(form).split(tol)[1]
+        KGK = K.T.dot(form.space.gram.dot(K))
+        z = K.dot(exactla.solve_general(KGK, K.T.dot(f)))
         return SolveOutcome("not_in_range", kernel_component=z, residual=0.0)
     u, *_ = np.linalg.lstsq(A, f, rcond=None)
     fnorm = float(np.linalg.norm(f))
@@ -154,14 +176,13 @@ def solve_dual(form: SymmetricForm, phi,
     if rel <= tol.residual:
         return SolveOutcome("in_range", u=u, phi_of_u=float(f.dot(u)),
                             residual=rel, warnings=tuple(warnings))
-    gram = None if _is_identity(form.space.gram) else form.space.gram
-    w, X = _eigh(A, gram)
-    tau = zero_band(w, tol)
-    K = X[:, np.abs(w) <= tau]
+    fac = factor(form)
+    tau = fac.band(tol)
+    K = fac.split(tol)[1]
     if K.shape[1] == 0:
         warnings.append("no numerical kernel at tolerance; reporting the "
                         "direction of smallest eigenvalue as the witness")
-        K = X[:, [int(np.argmin(np.abs(w)))]]
+        K = fac.vectors[:, [int(np.argmin(np.abs(fac.values)))]]
     z = K.dot(K.T.dot(f))
     if abs(float(f.dot(z))) <= tau * (1.0 + fnorm * float(np.linalg.norm(z))):
         warnings.append("kernel witness pairs only marginally with the functional")
@@ -169,53 +190,39 @@ def solve_dual(form: SymmetricForm, phi,
                         warnings=tuple(warnings))
 
 
-def _phi_branch(outcome: SolveOutcome, form: SymmetricForm, phi: Functional,
-                tol: Tolerances) -> tuple[str, bool]:
-    """Classify phi_of_u as negative, zero, or positive; returns marginal flag."""
-    if not outcome.in_range:
-        return "not_in_range", False
-    val = outcome.phi_of_u
-    if form.exact:
-        if val == 0:
-            return "zero", False
-        return ("negative", False) if val < 0 else ("positive", False)
-    scale = float(np.max(np.abs(form.matrix), initial=0.0))
-    tau = tol.null_band * max(1.0, scale)
-    band = tau * (1.0 + float(np.linalg.norm(outcome.u)) * float(np.linalg.norm(phi.coeffs)))
-    marginal = band / tol.marginal_factor <= abs(val) <= band * tol.marginal_factor
-    if abs(val) <= band:
-        return "zero", marginal
-    return ("negative", marginal) if val < 0 else ("positive", marginal)
+def decide(form: SymmetricForm, phi, tol: Tolerances | None = None) -> Decision:
+    """Solve the dual of one nonzero constraint and look its effect up in
+    ``BRANCH_EFFECT`` by the sign of phi(u), or by the lack of a dual."""
+    tol = tol or form.space.tol
+    phi = as_functional(phi, form.exact)
+    if phi.is_zero():
+        raise TrivialFunctional("the zero functional imposes no constraint")
+    outcome = solve_dual(form, phi, tol)
+    branch, marginal = "out_of_range", False
+    if outcome.in_range:
+        val = outcome.phi_of_u
+        band = 0
+        if not form.exact:
+            tau = tol.null_band * max(1.0, float(np.max(np.abs(form.matrix), initial=0.0)))
+            band = tau * (1.0 + float(np.linalg.norm(outcome.u))
+                          * float(np.linalg.norm(phi.coeffs)))
+            marginal = band / tol.marginal_factor <= abs(val) <= band * tol.marginal_factor
+        branch = "zero" if abs(val) <= band else "negative" if val < 0 else "positive"
+    return Decision(branch, *BRANCH_EFFECT[branch], marginal, outcome)
 
 
 def predict_index_drop(form: SymmetricForm, phi,
                        tol: Tolerances | None = None) -> int:
     """How much the Morse index falls on Ker(phi): 1 iff a dual u exists
     with phi(u) <= 0, else 0."""
-    tol = tol or form.space.tol
-    phi = as_functional(phi, form.exact)
-    if phi.is_zero():
-        raise TrivialFunctional("index drop is undefined for the zero functional")
-    outcome = solve_dual(form, phi, tol)
-    branch, _ = _phi_branch(outcome, form, phi, tol)
-    return 1 if branch in ("negative", "zero") else 0
+    return decide(form, phi, tol).drop
 
 
 def predict_nullity_change(form: SymmetricForm, phi,
                            tol: Tolerances | None = None) -> int:
     """Nullity on Ker(phi) minus full nullity: +1 when the dual lies in
     Ker(phi), -1 when f misses the range of A, 0 otherwise."""
-    tol = tol or form.space.tol
-    phi = as_functional(phi, form.exact)
-    if phi.is_zero():
-        raise TrivialFunctional("nullity change is undefined for the zero functional")
-    outcome = solve_dual(form, phi, tol)
-    branch, _ = _phi_branch(outcome, form, phi, tol)
-    if branch == "zero":
-        return 1
-    if branch == "not_in_range":
-        return -1
-    return 0
+    return decide(form, phi, tol).change
 
 
 def is_s_critical(form: SymmetricForm, phi, tol: Tolerances | None = None) -> bool:
@@ -230,6 +237,23 @@ def _independent(form: SymmetricForm, coeff_rows: list[np.ndarray],
     if form.exact:
         return exactla.rank(F) == len(coeff_rows)
     return float_rank(F, tol) == len(coeff_rows)
+
+
+def _pairing_form(form: SymmetricForm, U: np.ndarray, tol: Tolerances) -> SymmetricForm:
+    """The form on the columns of U: M[i, j] = S(u_i, u_j)."""
+    M = U.T.dot(form.matrix.dot(U))
+    if not form.exact:
+        M = 0.5 * (M + M.T)
+    return SymmetricForm.from_matrix(M, exact=form.exact, tol=tol)
+
+
+def _joint_prediction(form: SymmetricForm, duals: list,
+                      tol: Tolerances) -> MultiConstraintReport:
+    pairing = _pairing_form(form, np.stack(duals, axis=1), tol)
+    counts = inertia(pairing, tol)
+    return MultiConstraintReport(duals=duals, gram_matrix=pairing.matrix,
+                                 c=counts.negative + counts.zero,
+                                 c0=counts.zero, marginal=counts.marginal)
 
 
 def predict_multi(form: SymmetricForm, phis,
@@ -253,16 +277,7 @@ def predict_multi(form: SymmetricForm, phis,
         if not outcome.in_range:
             raise FunctionalNotInRange(i)
         duals.append(outcome.u)
-    k = len(duals)
-    U = np.stack(duals, axis=1)
-    M = U.T.dot(form.matrix.dot(U))
-    if not form.exact:
-        M = 0.5 * (M + M.T)
-    pairing = SymmetricForm.from_matrix(M, exact=form.exact, tol=tol)
-    counts = inertia(pairing, tol)
-    return MultiConstraintReport(duals=duals, gram_matrix=M,
-                                 c=counts.negative + counts.zero,
-                                 c0=counts.zero, marginal=counts.marginal)
+    return _joint_prediction(form, duals, tol)
 
 
 def diagonalize_duals(form: SymmetricForm, duals,
@@ -276,14 +291,7 @@ def diagonalize_duals(form: SymmetricForm, duals,
             raise DependentInput("dual vectors are linearly dependent")
     elif float_rank(U.T, tol) != len(duals):
         raise DependentInput("dual vectors are linearly dependent")
-    M = U.T.dot(form.matrix.dot(U))
-    if form.exact:
-        C, _ = exactla.congruence_diagonalize(M)
-        out = U.dot(C)
-    else:
-        M = 0.5 * (M + M.T)
-        _, E = _eigh(M)
-        out = U.dot(E)
+    out = U.dot(factor(_pairing_form(form, U, tol)).vectors)
     return [out[:, i] for i in range(out.shape[1])]
 
 
@@ -302,53 +310,38 @@ def analyze(form: SymmetricForm, constraints,
     warnings: list[str] = []
     if full.marginal:
         warnings.append("full spectrum has marginal eigenvalues")
-    restricted = restrict(form, [p.coeffs for p in phis], tol)
-    oracle = inertia(restricted, tol)
+    oracle = inertia(restrict(form, [p.coeffs for p in phis], tol), tol)
     if oracle.marginal:
         warnings.append("restricted spectrum has marginal eigenvalues")
 
     predicted_mi: int | None = None
     predicted_null: int | None = None
-    s_flags: list[bool] = []
-    k = len(phis)
+    decisions: list[Decision] = []
     if any(p.is_zero() for p in phis):
         warnings.append("trivial functional: prediction skipped, oracle only")
     else:
-        branches = []
-        for p in phis:
-            outcome = solve_dual(form, p, tol)
-            for w in outcome.warnings:
-                warnings.append(w)
-            branch, marginal = _phi_branch(outcome, form, p, tol)
-            if marginal:
+        decisions = [decide(form, p, tol) for p in phis]
+        for d in decisions:
+            warnings.extend(d.outcome.warnings)
+            if d.marginal:
                 warnings.append("phi(u) classification is marginal")
-            branches.append(branch)
-            s_flags.append(branch in ("negative", "zero"))
-        if k == 0:
-            predicted_mi, predicted_null = full.negative, full.zero
-        elif k == 1:
-            drop = 1 if branches[0] in ("negative", "zero") else 0
-            change = {"zero": 1, "not_in_range": -1}.get(branches[0], 0)
-            predicted_mi = full.negative - drop
-            predicted_null = full.zero + change
+        missing = [i for i, d in enumerate(decisions) if not d.outcome.in_range]
+        if len(decisions) <= 1:
+            # no constraint, or one whose table entry is the whole change
+            predicted_mi = full.negative - sum(d.drop for d in decisions)
+            predicted_null = full.zero + sum(d.change for d in decisions)
+        elif not _independent(form, [p.coeffs for p in phis], tol):
+            warnings.append("dependent constraints: prediction skipped, oracle only")
+        elif missing:
+            warnings.append(f"functional {missing[0]} not in range with k >= 2: "
+                            "no joint formula, oracle only")
         else:
-            try:
-                multi = predict_multi(form, phis, tol)
-                if multi.marginal:
-                    warnings.append("pairing matrix spectrum has marginal eigenvalues")
-                predicted_mi = full.negative - multi.c
-                predicted_null = full.zero + multi.c0
-            except DependentConstraints:
-                warnings.append("dependent constraints: prediction skipped, oracle only")
-            except FunctionalNotInRange as exc:
-                warnings.append(f"functional {exc.index} not in range with k >= 2: "
-                                "no joint formula, oracle only")
+            multi = _joint_prediction(form, [d.outcome.u for d in decisions], tol)
+            if multi.marginal:
+                warnings.append("pairing matrix spectrum has marginal eigenvalues")
+            predicted_mi = full.negative - multi.c
+            predicted_null = full.zero + multi.c0
 
-    if predicted_mi is None:
-        agreement = True
-    else:
-        agreement = (predicted_mi == oracle.negative
-                     and predicted_null == oracle.zero)
     return ConstrainedReport(
         mi_full=full.negative,
         nullity_full=full.zero,
@@ -356,7 +349,8 @@ def analyze(form: SymmetricForm, constraints,
         nullity_constrained_oracle=oracle.zero,
         mi_constrained_predicted=predicted_mi,
         nullity_constrained_predicted=predicted_null,
-        s_critical=tuple(s_flags),
-        agreement=agreement,
+        s_critical=tuple(d.drop == 1 for d in decisions),
+        agreement=(predicted_mi is None
+                   or (predicted_mi, predicted_null) == (oracle.negative, oracle.zero)),
         warnings=tuple(warnings),
     )

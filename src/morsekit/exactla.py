@@ -26,10 +26,6 @@ def frac_vector(entries) -> np.ndarray:
     return frac_matrix(entries)
 
 
-def is_exact(matrix: np.ndarray) -> bool:
-    return matrix.dtype == object
-
-
 def identity(n: int) -> np.ndarray:
     out = np.full((n, n), ZERO, dtype=object)
     for i in range(n):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from importlib import resources
 from math import isinf, isnan
@@ -20,8 +20,7 @@ from math import isinf, isnan
 import jsonschema
 import numpy as np
 
-from . import boundary, exactla
-from .bilinear import SymmetricForm, as_backend_matrix
+from .bilinear import SymmetricForm
 from .boundary import (
     AssembledProblem,
     CoefficientSpec,
@@ -33,8 +32,8 @@ from .boundary import (
     verify_decomposition,
     weak_index,
 )
-from .constraints import ConstrainedReport, analyze
-from .errors import MorsekitError, ParseError, ValidationError
+from .constraints import BRANCH_EFFECT, analyze
+from .errors import ParseError, ValidationError
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -233,35 +232,9 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if is_dataclass(value):
-        return _jsonable(_payload_dict(value))
+        # report payloads serialize as their fields, in declaration order
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     return str(value)
-
-
-def _payload_dict(payload) -> dict:
-    if isinstance(payload, ConstrainedReport):
-        return {
-            "mi_full": payload.mi_full,
-            "nullity_full": payload.nullity_full,
-            "mi_constrained_oracle": payload.mi_constrained_oracle,
-            "nullity_constrained_oracle": payload.nullity_constrained_oracle,
-            "mi_constrained_predicted": payload.mi_constrained_predicted,
-            "nullity_constrained_predicted": payload.nullity_constrained_predicted,
-            "s_critical": list(payload.s_critical),
-            "agreement": payload.agreement,
-            "warnings": list(payload.warnings),
-        }
-    if isinstance(payload, boundary.SpectrumReport):
-        return {
-            "robin": payload.robin,
-            "dirichlet": payload.dirichlet,
-            "steklov": list(payload.steklov),
-            "a": payload.a,
-            "b": payload.b,
-            "mi_q": payload.mi_q,
-            "decomposition_ok": payload.decomposition_ok,
-            "degenerate": payload.degenerate,
-        }
-    raise TypeError(f"no dictionary layout for {type(payload).__name__}")
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -309,6 +282,8 @@ def _render_text(value, indent: int = 0) -> list[str]:
 
 
 def _scalar_text(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.12g}"
     if v is None:
@@ -355,22 +330,14 @@ def run(problem: ProblemFile) -> RunReport:
                 if not spec_rep.decomposition_ok:
                     verdict = "fail"
             if "weak_index" in problem.checks:
-                constraint = "volume"
-                reports = []
-                if isinstance(problem.constraints, list):
-                    for c in problem.constraints:
-                        reports.append(weak_index(prob, c, problem.tol))
-                else:
-                    reports.append(weak_index(prob, constraint, problem.tol))
-                weak = reports[0] if len(reports) == 1 else reports
-                payloads["weak"] = weak
-                for rep in reports:
-                    warnings.extend(rep.warnings)
-                    if not rep.agreement:
-                        verdict = "fail"
-    except MorsekitError as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        verdict = "fail"
+                constraints = problem.constraints
+                if not isinstance(constraints, list):
+                    constraints = "volume"
+                rep = weak_index(prob, constraints, problem.tol)
+                payloads["weak"] = rep
+                warnings.extend(rep.warnings)
+                if not rep.agreement:
+                    verdict = "fail"
     except Exception as exc:  # never panic on a bad instance
         error = {"type": type(exc).__name__, "message": str(exc)}
         verdict = "fail"
@@ -383,7 +350,6 @@ def run(problem: ProblemFile) -> RunReport:
 # ---------------------------------------------------------------------------
 # fuzz campaign
 
-_SINGLE_BRANCHES = ("negative", "zero", "positive", "out_of_range")
 _DEFAULT_CYCLE = ("negative", "zero", "positive", "out_of_range", "multi:2",
                   "negative", "zero", "positive", "out_of_range", "multi:3")
 
@@ -473,12 +439,8 @@ def _make_multi_instance(rng: np.random.Generator, dim_max: int, k: int):
     return A, fs
 
 
-def _observed_branch(drop: int, change: int) -> str:
-    if change == 1:
-        return "zero"
-    if change == -1:
-        return "out_of_range"
-    return "negative" if drop == 1 else "positive"
+# a single-constraint prediction's (drop, change) names its branch
+_BRANCH_OF_EFFECT = {effect: branch for branch, effect in BRANCH_EFFECT.items()}
 
 
 def _instance_dump(trial: int, branch: str, A: np.ndarray, fs: list) -> dict:
@@ -542,13 +504,8 @@ def fuzz(seed: int, trials: int, dim_max: int = 8, backend: str = "exact",
             A, fs = _make_single_instance(rng, dim_max, branch)
         branch_counts[branch] = branch_counts.get(branch, 0) + 1
 
-        if exact:
-            form = SymmetricForm.from_matrix(exactla.frac_matrix(A), tol=tol)
-            phis = [exactla.frac_vector(f) for f in fs]
-        else:
-            form = SymmetricForm.from_matrix(A.astype(float), tol=tol)
-            phis = [f.astype(float) for f in fs]
-        rep = analyze(form, phis, tol)
+        form = SymmetricForm.from_matrix(A, exact=exact, tol=tol)
+        rep = analyze(form, fs, tol)
 
         drop_oracle = rep.mi_full - rep.mi_constrained_oracle
         change_oracle = rep.nullity_constrained_oracle - rep.nullity_full
@@ -569,7 +526,7 @@ def fuzz(seed: int, trials: int, dim_max: int = 8, backend: str = "exact",
                 pred_drop = rep.mi_full - rep.mi_constrained_predicted
                 pred_change = (rep.nullity_constrained_predicted
                                - rep.nullity_full)
-                observed = _observed_branch(pred_drop, pred_change)
+                observed = _BRANCH_OF_EFFECT[(pred_drop, pred_change)]
                 if exact and observed != branch:
                     generator_mismatches.append(
                         _instance_dump(t, branch, A, fs) | {"observed": observed})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from morsekit import exactla
+from morsekit import bilinear, exactla
 from morsekit.bilinear import (
     InnerProductSpace,
     SymmetricForm,
@@ -421,6 +421,17 @@ def test_analyze_float_backend_report():
     rep = analyze(form, [np.array([1.0, 0.0])])
     assert rep.mi_constrained_predicted == 0
     assert rep.agreement
+
+
+def test_analyze_factors_the_full_form_once(count_calls):
+    # one eigensolve for the full form, read again by the out-of-range
+    # witness, and one for the restricted form of the oracle
+    calls = count_calls(bilinear, "_eigh")
+    form = SymmetricForm.from_matrix(np.diag([0.0, 1.0, -2.0]))
+    rep = analyze(form, [np.array([1.0, 0.0, 0.0])])
+    assert rep.nullity_constrained_predicted == 0
+    assert rep.agreement
+    assert len(calls) == 2
 
 
 def test_functional_wrapper_call():

@@ -1,4 +1,5 @@
 """Problem files, reports, the fuzz campaign, and the command line."""
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from morsekit import boundary
 from morsekit.cli import main
 from morsekit.errors import ParseError, ValidationError
 from morsekit.harness import (
@@ -178,6 +180,40 @@ def test_run_pde_weak_index():
     validate_report(report)
 
 
+def test_run_pde_explicit_constraints_are_joint():
+    # two explicit functionals cut the space to their joint kernel: one
+    # constrained report, checked against the restriction oracle
+    doc = json.loads(PDE_DOC)
+    n = doc["domain"]["n_elements"]
+    doc["constraints"] = [[1.0] + [0.0] * n, [0.0] * n + [1.0]]
+    report = run(parse_problem(json.dumps(doc)))
+    validate_report(report)
+    weak = report.payloads["weak"]
+    assert len(weak.s_critical) == 2
+    assert weak.mi_constrained_predicted == weak.mi_constrained_oracle
+    assert weak.agreement and report.verdict == "pass"
+
+
+def test_run_pde_empty_constraint_list():
+    doc = json.loads(PDE_DOC)
+    doc["constraints"] = []
+    report = run(parse_problem(json.dumps(doc)))
+    validate_report(report)
+    weak = report.payloads["weak"]
+    assert weak.s_critical == ()
+    assert weak.mi_constrained_oracle == weak.mi_full == 1
+    assert report.verdict == "pass"
+
+
+def test_run_pde_computes_dirichlet_spectrum_once(count_calls):
+    calls = count_calls(boundary, "dirichlet_spectrum")
+    doc = json.loads(PDE_DECOMP_DOC)
+    doc["checks"] = ["decomposition", "weak_index"]
+    report = run(parse_problem(json.dumps(doc)))
+    assert report.verdict == "pass"
+    assert len(calls) == 1
+
+
 def test_run_pde_decomposition():
     report = run(parse_problem(PDE_DECOMP_DOC))
     assert report.verdict == "pass"
@@ -212,6 +248,10 @@ def test_report_text_rendering():
     text = report_to_text(report)
     assert "verdict: pass" in text
     assert "mi_full" in text
+    # booleans print as the JSON literals
+    assert "agreement: true" in text
+    assert "[true]" in text
+    assert "True" not in text
 
 
 def test_report_json_has_no_nan():
@@ -314,6 +354,15 @@ def test_fuzz_validations():
         fuzz(seed=0, trials=1, dim_max=6, k_choices=(1,))
     with pytest.raises(ValidationError):
         fuzz(seed=0, trials=1, dim_max=6, k_choices=(9,))
+
+
+@pytest.mark.parametrize("backend,digest", [
+    ("exact", "dce65eb0d1f5f63880b7bf8bc43d277ddaf61d9a54c41ad4167043b621b7aebc"),
+    ("float", "2800769c64c6c05cc8f2cdbf18efcf32086f3186a72ee6794a518a44f9626581"),
+])
+def test_fuzz_report_bytes_are_pinned(backend, digest):
+    text = report_to_json(fuzz(seed=42, trials=200, backend=backend))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_fuzz_timing_absent_for_reproducibility():
