@@ -24,7 +24,7 @@ from .errors import (
     NotPositiveDefinite,
     UnsupportedBackend,
 )
-from .tolerances import DEFAULT, Tolerances, classify_spectrum, zero_band
+from .tolerances import DEFAULT, Tolerances, classify_spectrum, spectral_radius, zero_band
 
 
 def as_backend_matrix(matrix, exact: bool | None = None) -> np.ndarray:
@@ -47,7 +47,7 @@ def _check_symmetric(matrix: np.ndarray, tol: Tolerances, what: str) -> None:
         return
     scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
     gap = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
-    if gap > tol.symmetry * max(1.0, scale):
+    if gap > tol.symmetry * scale:
         raise NonSymmetric(f"{what} is not symmetric within tolerance "
                            f"(max asymmetry {gap:.3e})")
 
@@ -86,7 +86,7 @@ class InnerProductSpace:
                 raise NotPositiveDefinite("gram matrix is not positive definite")
         elif g.shape[0] > 0:
             w = np.linalg.eigvalsh(g)
-            if w[0] <= zero_band(w, self.tol):
+            if w[0] <= zero_band(spectral_radius(w), self.tol):
                 raise NotPositiveDefinite("gram matrix is not positive definite")
         object.__setattr__(self, "gram", g)
 
@@ -123,6 +123,8 @@ class SymmetricForm:
     space: InnerProductSpace
     matrix: np.ndarray
     factored: Factorization | None = field(default=None, repr=False)
+    # set by restrict_to: the parent's spectral radius, whose band it keeps
+    parent_scale: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = as_backend_matrix(self.matrix, exact=self.space.exact)
@@ -185,20 +187,26 @@ class Factorization:
     Floating backend: eigenpairs of the pencil (matrix, gram), columns
     gram-orthonormal.  Exact backend: an invertible C with
     C^T A C = diag(values), so the zero columns span the kernel of A.
-    ``vectors`` is None when only the eigenvalues were kept.
+    ``vectors`` is None when only the eigenvalues were kept.  ``scale``
+    (floating) is the spectral radius that sets the zero band.
     """
 
     values: np.ndarray
     vectors: np.ndarray | None = None
+    scale: float | None = None
+
+    def __post_init__(self):
+        if self.scale is None and self.values.dtype != object:
+            object.__setattr__(self, "scale", spectral_radius(self.values))
 
     def band(self, tol: Tolerances):
         """Half-width of the zero band; 0 on the exact backend."""
-        return 0 if self.values.dtype == object else zero_band(self.values, tol)
+        return 0 if self.values.dtype == object else zero_band(self.scale, tol)
 
     def inertia(self, tol: Tolerances) -> Inertia:
         w = self.values
         if w.dtype != object:
-            return Inertia(*classify_spectrum(w, tol))
+            return Inertia(*classify_spectrum(w, tol, self.scale))
         neg, zero = int(np.sum(w < 0)), int(np.sum(w == 0))
         return Inertia(neg, zero, w.size - neg - zero)
 
@@ -271,7 +279,7 @@ def factor(form: SymmetricForm) -> Factorization:
             fac = Factorization(np.array(diag, dtype=object), C)
         else:
             gram = None if _is_identity(form.space.gram) else form.space.gram
-            fac = Factorization(*_eigh(form.matrix, gram))
+            fac = Factorization(*_eigh(form.matrix, gram), scale=form.parent_scale)
         object.__setattr__(form, "factored", fac)
     return fac
 
@@ -324,10 +332,7 @@ def _float_nullspace(F: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def float_rank(F: np.ndarray, tol: Tolerances) -> int:
-    d = np.abs(np.diag(scipy.linalg.qr(F.T, pivoting=True)[1])) if min(F.shape) else np.empty(0)
-    if d.size == 0 or d[0] == 0:
-        return 0
-    return int(np.sum(d > tol.rank * d[0]))
+    return F.shape[1] - _float_nullspace(F, tol).shape[1]
 
 
 def restrict(form: SymmetricForm, constraints,
@@ -351,23 +356,33 @@ def restrict_to(form: SymmetricForm, sub: Subspace) -> SymmetricForm:
     if not form.exact:
         A2 = 0.5 * (A2 + A2.T)
         G2 = 0.5 * (G2 + G2.T)
-    return SymmetricForm(InnerProductSpace(G2, form.space.tol), A2)
+    child = SymmetricForm(InnerProductSpace(G2, form.space.tol), A2)
+    if not form.exact:
+        # the rounding error of B^T A B scales with A, so A's band is kept
+        object.__setattr__(child, "parent_scale", (form.factored or factor(form)).scale)
+    return child
+
+
+def rayleigh(form: SymmetricForm, u, tol: Tolerances | None = None):
+    """(S(u, u) / <u, u>, zero band): S(u, u) counts as zero when the
+    quotient lies in the band.  Floating u is scaled to unit largest entry
+    first, so no square of a huge or tiny vector is formed."""
+    u = as_backend_vector(u, form.exact)
+    band = 0 if form.exact else (form.factored or factor(form)).band(tol or form.space.tol)
+    if not np.any(u):
+        return 0, band
+    if not form.exact:
+        u = u / np.max(np.abs(u))
+    return form.quadratic(u) / form.space.norm_sq(u), band
 
 
 def s_project(form: SymmetricForm, u, v, tol: Tolerances | None = None) -> np.ndarray:
     """Component of v along u with respect to the form: (S(u,v)/S(u,u)) u."""
-    tol = tol or form.space.tol
     u = as_backend_vector(u, form.exact)
-    v = as_backend_vector(v, form.exact)
-    suu = form.quadratic(u)
-    if form.exact:
-        if suu == 0:
-            raise IsotropicDirection("S(u, u) = 0")
-    else:
-        tau = tol.null_band * max(1.0, float(np.max(np.abs(form.matrix), initial=0.0)))
-        if abs(suu) <= tau * float(u.dot(u)):
-            raise IsotropicDirection("S(u, u) vanishes within tolerance")
-    return (form.evaluate(u, v) / suu) * u
+    quotient, band = rayleigh(form, u, tol)
+    if abs(quotient) <= band:
+        raise IsotropicDirection("S(u, u) vanishes within the zero band")
+    return (form.evaluate(u, v) / form.quadratic(u)) * u
 
 
 def maximal_negative_subspace_through(form: SymmetricForm, u,
@@ -383,10 +398,10 @@ def maximal_negative_subspace_through(form: SymmetricForm, u,
     """
     tol = tol or form.space.tol
     u = as_backend_vector(u, form.exact)
-    fac = factor(form)
-    if not form.quadratic(u) < -fac.band(tol) * u.dot(u):
+    quotient, band = rayleigh(form, u, tol)
+    if not quotient < -band:
         raise NotNegativeDirection("S(u, u) must be negative beyond the zero band")
-    vecs = list(fac.split(tol)[0].T)
+    vecs = list(factor(form).split(tol)[0].T)
     k = len(vecs)
     # the S-projection of u onto span(c_i) has square sum(w_i^2 / d_i),
     # which is <= S(u, u) < 0, so some pairing w_j = S(u, c_j) is nonzero

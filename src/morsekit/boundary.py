@@ -26,7 +26,7 @@ from .errors import (
     InvalidCoefficients,
     ZeroBoundaryWeight,
 )
-from .tolerances import DEFAULT, Tolerances, classify_spectrum, zero_band
+from .tolerances import DEFAULT, Tolerances, classify_spectrum, spectral_radius, zero_band
 
 # 2-point Gauss offsets on the reference element [0, 1], weights 1/2 each
 _GAUSS_XI = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -210,7 +210,7 @@ def robin_spectrum(problem: AssembledProblem) -> np.ndarray:
 
 def dirichlet_spectrum(problem: AssembledProblem) -> np.ndarray:
     """Eigenvalues of the clamped problem: interior block of K - P against
-    the interior mass block."""
+    the interior mass block: the Robin pencil on the interior nodes."""
     idx = problem.interior
     A = (problem.K - problem.P)[np.ix_(idx, idx)]
     M = problem.Mmass[np.ix_(idx, idx)]
@@ -241,16 +241,18 @@ def steklov_spectrum(problem: AssembledProblem,
     b is always the negative inertia of T - D_B; when both weights are
     positive this equals the number of pencil eigenvalues below 1.
     """
-    return _steklov(problem, dirichlet_spectrum(problem), tol)
+    return _steklov(problem, dirichlet_spectrum(problem),
+                    spectral_radius(problem.robin), tol)
 
 
-def _steklov(problem: AssembledProblem, delta: np.ndarray,
+def _steklov(problem: AssembledProblem, delta: np.ndarray, scale: float,
              tol: Tolerances) -> SteklovResult:
-    """steklov_spectrum given the Dirichlet eigenvalues delta."""
+    """steklov_spectrum given the Dirichlet eigenvalues delta, in the band
+    of the Robin pencil's spectral radius ``scale``."""
     q_a, q_b = problem.coeffs.q_a, problem.coeffs.q_b
     if q_a + q_b <= 0:
         raise ZeroBoundaryWeight("both boundary weights vanish")
-    if delta.size and np.min(np.abs(delta)) <= zero_band(delta, tol):
+    if delta.size and np.min(np.abs(delta)) <= zero_band(scale, tol):
         raise DegenerateDirichletKernel(
             "a Dirichlet eigenvalue sits in the zero band; the boundary "
             "reduction is singular at this potential")
@@ -266,7 +268,8 @@ def _steklov(problem: AssembledProblem, delta: np.ndarray,
         # survives, the other escapes to infinity
         pos, free = (0, 1) if q_a > 0 else (1, 0)
         weight = q_a if q_a > 0 else q_b
-        if abs(T[free, free]) <= zero_band(np.diag(T), tol):
+        # T[free, free] is the Rayleigh quotient of T - D_B on that direction
+        if abs(T[free, free]) <= zero_band(spectral_radius(w), tol):
             mu = (math.inf, math.inf)
             marginal = True
         else:
@@ -285,11 +288,12 @@ def verify_decomposition(problem: AssembledProblem,
     marginal eigenvalues the equality is exact.
     """
     lam = robin_spectrum(problem)
+    scale = spectral_radius(lam)
     mi_neg, _, _, robin_marginal = classify_spectrum(lam, tol)
     delta = dirichlet_spectrum(problem)
-    d_neg, d_zero, _, dirichlet_marginal = classify_spectrum(delta, tol)
+    d_neg, d_zero, _, dirichlet_marginal = classify_spectrum(delta, tol, scale)
     a = d_neg + d_zero
-    stek = _steklov(problem, delta, tol)
+    stek = _steklov(problem, delta, scale, tol)
     degenerate = robin_marginal or dirichlet_marginal or stek.marginal
     return SpectrumReport(
         robin=lam,

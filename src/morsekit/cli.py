@@ -6,6 +6,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -74,10 +75,8 @@ def main(argv=None) -> int:
                     f"{args.command} expects a problem of kind {expected!r}, "
                     f"got {problem.kind!r}")
             if args.tol_null is not None or args.tol_residual is not None:
-                problem = type(problem)(**{**problem.__dict__,
-                                           "tol": problem.tol.with_overrides(
-                                               null_band=args.tol_null,
-                                               residual=args.tol_residual)})
+                problem = dataclasses.replace(problem, tol=problem.tol.with_overrides(
+                    null_band=args.tol_null, residual=args.tol_residual))
             report = run(problem)
         else:
             k_choices = None

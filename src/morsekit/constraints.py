@@ -16,24 +16,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import exactla
 from .bilinear import (
     InnerProductSpace,
+    Subspace,
     SymmetricForm,
     as_backend_vector,
     factor,
     float_rank,
     inertia,
+    rayleigh,
     restrict,
+    restrict_to,
 )
 from .errors import (
     DependentConstraints,
     DependentInput,
     FunctionalNotInRange,
+    ImpossibleCounts,
     TrivialFunctional,
 )
-from .tolerances import Tolerances
+from .tolerances import Tolerances, zero_band
 
 
 # What one constraint does to the counts, by the branch its dual solve
@@ -167,8 +172,9 @@ def solve_dual(form: SymmetricForm, phi,
         z = K.dot(exactla.solve_general(KGK, K.T.dot(f)))
         return SolveOutcome("not_in_range", kernel_component=z, residual=0.0)
     u, *_ = np.linalg.lstsq(A, f, rcond=None)
-    fnorm = float(np.linalg.norm(f))
-    rel = float(np.linalg.norm(A.dot(u) - f)) / max(1.0, fnorm)
+    # BLAS norms scale internally: f and u may be near the float range ends
+    fnorm = scipy.linalg.norm(f)
+    rel = scipy.linalg.norm(A.dot(u) - f) / fnorm
     warnings = []
     if tol.residual / tol.marginal_factor <= rel <= tol.residual * tol.marginal_factor:
         warnings.append(f"dual solve residual {rel:.3e} is marginal against "
@@ -177,14 +183,13 @@ def solve_dual(form: SymmetricForm, phi,
         return SolveOutcome("in_range", u=u, phi_of_u=float(f.dot(u)),
                             residual=rel, warnings=tuple(warnings))
     fac = factor(form)
-    tau = fac.band(tol)
     K = fac.split(tol)[1]
     if K.shape[1] == 0:
         warnings.append("no numerical kernel at tolerance; reporting the "
                         "direction of smallest eigenvalue as the witness")
         K = fac.vectors[:, [int(np.argmin(np.abs(fac.values)))]]
     z = K.dot(K.T.dot(f))
-    if abs(float(f.dot(z))) <= tau * (1.0 + fnorm * float(np.linalg.norm(z))):
+    if abs(float(f.dot(z))) <= zero_band(fnorm * scipy.linalg.norm(z), tol):
         warnings.append("kernel witness pairs only marginally with the functional")
     return SolveOutcome("not_in_range", kernel_component=z, residual=rel,
                         warnings=tuple(warnings))
@@ -192,7 +197,8 @@ def solve_dual(form: SymmetricForm, phi,
 
 def decide(form: SymmetricForm, phi, tol: Tolerances | None = None) -> Decision:
     """Solve the dual of one nonzero constraint and look its effect up in
-    ``BRANCH_EFFECT`` by the sign of phi(u), or by the lack of a dual."""
+    ``BRANCH_EFFECT`` by the sign of phi(u) = S(u, u), or by the lack of
+    a dual."""
     tol = tol or form.space.tol
     phi = as_functional(phi, form.exact)
     if phi.is_zero():
@@ -200,12 +206,9 @@ def decide(form: SymmetricForm, phi, tol: Tolerances | None = None) -> Decision:
     outcome = solve_dual(form, phi, tol)
     branch, marginal = "out_of_range", False
     if outcome.in_range:
-        val = outcome.phi_of_u
-        band = 0
+        val, band = outcome.phi_of_u, 0
         if not form.exact:
-            tau = tol.null_band * max(1.0, float(np.max(np.abs(form.matrix), initial=0.0)))
-            band = tau * (1.0 + float(np.linalg.norm(outcome.u))
-                          * float(np.linalg.norm(phi.coeffs)))
+            val, band = rayleigh(form, outcome.u, tol)
             marginal = band / tol.marginal_factor <= abs(val) <= band * tol.marginal_factor
         branch = "zero" if abs(val) <= band else "negative" if val < 0 else "positive"
     return Decision(branch, *BRANCH_EFFECT[branch], marginal, outcome)
@@ -239,17 +242,19 @@ def _independent(form: SymmetricForm, coeff_rows: list[np.ndarray],
     return float_rank(F, tol) == len(coeff_rows)
 
 
-def _pairing_form(form: SymmetricForm, U: np.ndarray, tol: Tolerances) -> SymmetricForm:
-    """The form on the columns of U: M[i, j] = S(u_i, u_j)."""
-    M = U.T.dot(form.matrix.dot(U))
+def _on_span(form: SymmetricForm, duals: list) -> tuple[np.ndarray, SymmetricForm]:
+    """The form on the span of the duals and the basis it is written in:
+    the duals (exact), or an orthonormal basis of their span (floating),
+    which has the same inertia without squaring the duals' conditioning."""
+    U = np.stack(duals, axis=1)
     if not form.exact:
-        M = 0.5 * (M + M.T)
-    return SymmetricForm.from_matrix(M, exact=form.exact, tol=tol)
+        U = np.linalg.qr(U)[0]
+    return U, restrict_to(form, Subspace(U))
 
 
 def _joint_prediction(form: SymmetricForm, duals: list,
                       tol: Tolerances) -> MultiConstraintReport:
-    pairing = _pairing_form(form, np.stack(duals, axis=1), tol)
+    pairing = _on_span(form, duals)[1]
     counts = inertia(pairing, tol)
     return MultiConstraintReport(duals=duals, gram_matrix=pairing.matrix,
                                  c=counts.negative + counts.zero,
@@ -263,7 +268,8 @@ def predict_multi(form: SymmetricForm, phis,
 
     The index drops by c, the count of non-positive eigenvalues of the
     pairing matrix M[i, j] = S(u_i, u_j) of the duals, and the nullity
-    rises by c0 = dim Ker(M).
+    rises by c0 = dim Ker(M), read as the form on the span of the duals
+    (``gram_matrix``; see ``_on_span`` for its basis).
     """
     tol = tol or form.space.tol
     phis = [as_functional(p, form.exact) for p in phis]
@@ -285,13 +291,10 @@ def diagonalize_duals(form: SymmetricForm, duals,
     """Replace duals by a basis of the same span that is S-orthogonal."""
     tol = tol or form.space.tol
     duals = [as_backend_vector(u, form.exact) for u in duals]
-    U = np.stack(duals, axis=1)
-    if form.exact:
-        if exactla.rank(U.T) != len(duals):
-            raise DependentInput("dual vectors are linearly dependent")
-    elif float_rank(U.T, tol) != len(duals):
+    if not _independent(form, duals, tol):
         raise DependentInput("dual vectors are linearly dependent")
-    out = U.dot(factor(_pairing_form(form, U, tol)).vectors)
+    U, pairing = _on_span(form, duals)
+    out = U.dot(factor(pairing).vectors)
     return [out[:, i] for i in range(out.shape[1])]
 
 
@@ -302,7 +305,8 @@ def analyze(form: SymmetricForm, constraints,
     Constraint sets outside the theorems' hypotheses (a zero functional,
     dependent functionals, or k >= 2 with some functional not in range)
     degrade to oracle-only mode: the oracle columns are always filled,
-    predictions become None, and a warning explains why.
+    predictions become None, and a warning explains why.  Predicted
+    counts no form can have raise ImpossibleCounts.
     """
     tol = tol or form.space.tol
     phis = [as_functional(p, form.exact) for p in constraints]
@@ -341,6 +345,9 @@ def analyze(form: SymmetricForm, constraints,
                 warnings.append("pairing matrix spectrum has marginal eigenvalues")
             predicted_mi = full.negative - multi.c
             predicted_null = full.zero + multi.c0
+    if predicted_mi is not None and not (predicted_mi >= 0 and 0 <= predicted_null <= form.dim):
+        raise ImpossibleCounts(f"predicted index {predicted_mi} and nullity {predicted_null} "
+                               f"are impossible in dimension {form.dim}; warnings: {warnings}")
 
     return ConstrainedReport(
         mi_full=full.negative,

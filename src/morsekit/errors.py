@@ -58,6 +58,10 @@ class FunctionalNotInRange(MorsekitError):
                          "use the single-constraint analysis per functional instead")
 
 
+class ImpossibleCounts(MorsekitError):
+    """Predicted counts no form has: a negative index, or a nullity outside [0, dim]."""
+
+
 class InvalidCoefficients(MorsekitError):
     """Coefficient data violates the assembler's requirements."""
 

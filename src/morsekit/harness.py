@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from importlib import resources
@@ -33,7 +34,7 @@ from .boundary import (
     weak_index,
 )
 from .constraints import BRANCH_EFFECT, analyze
-from .errors import ParseError, ValidationError
+from .errors import MorsekitError, ParseError, ValidationError
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -304,7 +305,8 @@ def run(problem: ProblemFile) -> RunReport:
     """Execute a parsed problem and fold the outcome into a report.
 
     Errors raised by the underlying modules become report content with a
-    fail verdict; the process is never taken down by a bad instance.
+    fail verdict; the process is never taken down by a bad instance.  Any
+    other exception is a defect, so its traceback also goes to stderr.
     """
     start = time.perf_counter()
     payloads: dict = {}
@@ -339,6 +341,8 @@ def run(problem: ProblemFile) -> RunReport:
                 if not rep.agreement:
                     verdict = "fail"
     except Exception as exc:  # never panic on a bad instance
+        if not isinstance(exc, MorsekitError):
+            traceback.print_exc()
         error = {"type": type(exc).__name__, "message": str(exc)}
         verdict = "fail"
     timing = time.perf_counter() - start

@@ -1,9 +1,12 @@
 """Tolerance policy for the floating backend.
 
-All zero tests share one scheme: a value is treated as zero when it falls
-inside a band whose width scales with the size of the data, and values close
-to the band edge are flagged as marginal instead of silently classified.
-The exact backend never consults these numbers.
+All zero tests share one band, tau = null_band * (spectral radius of the
+parent pencil), with no absolute floor, so scaling a form or a constraint
+moves no count.  Restrictions of the parent inherit its band: by Cauchy
+interlacing their spectra lie inside the parent's, and their rounding error
+scales with the parent.  A direction u is isotropic when |S(u, u)| <= tau *
+<u, u>.  Values close to the band edge are flagged as marginal instead of
+silently classified.  The exact backend never consults these numbers.
 """
 from __future__ import annotations
 
@@ -32,28 +35,28 @@ class Tolerances:
 DEFAULT = Tolerances()
 
 
-def spectral_scale(eigenvalues: np.ndarray) -> float:
-    """max(1, spectral radius) from an array of eigenvalues."""
-    if eigenvalues.size == 0:
-        return 1.0
-    return max(1.0, float(np.max(np.abs(eigenvalues))))
+def spectral_radius(eigenvalues: np.ndarray) -> float:
+    """Largest |eigenvalue|; 0 for an empty spectrum."""
+    return float(np.max(np.abs(eigenvalues), initial=0.0))
 
 
-def zero_band(eigenvalues: np.ndarray, tol: Tolerances) -> float:
-    """Half-width of the zero band for this spectrum."""
-    return tol.null_band * spectral_scale(eigenvalues)
+def zero_band(scale: float, tol: Tolerances) -> float:
+    """Half-width of the zero band for a parent of spectral radius scale."""
+    return tol.null_band * scale
 
 
-def classify_spectrum(eigenvalues: np.ndarray, tol: Tolerances) -> tuple[int, int, int, bool]:
+def classify_spectrum(eigenvalues: np.ndarray, tol: Tolerances,
+                      scale: float | None = None) -> tuple[int, int, int, bool]:
     """Counts (negative, zero, positive) plus a marginal flag.
 
     An eigenvalue is marginal when its distance to the nearest band edge
     (+tau or -tau) is at most marginal_factor * tau; every eigenvalue inside
     the band is therefore marginal as well, since a true zero cannot be told
-    apart from a small nonzero at working precision.
+    apart from a small nonzero at working precision.  ``scale`` is the
+    parent's spectral radius, by default the spectrum's own.
     """
     w = np.asarray(eigenvalues, dtype=float)
-    tau = zero_band(w, tol)
+    tau = zero_band(spectral_radius(w) if scale is None else scale, tol)
     neg = int(np.sum(w < -tau))
     zero = int(np.sum(np.abs(w) <= tau))
     pos = int(w.size) - neg - zero

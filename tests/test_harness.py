@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from morsekit import boundary
+from morsekit import boundary, harness
 from morsekit.cli import main
 from morsekit.errors import ParseError, ValidationError
 from morsekit.harness import (
@@ -232,6 +232,26 @@ def test_run_error_becomes_fail_verdict():
     assert report.error is not None
     assert not report.passed
     validate_report(report)
+
+
+def test_run_keeps_traceback_of_unexpected_errors(monkeypatch, capsys):
+    # a MorsekitError is a bad instance: report content only
+    doc = json.loads(PDE_DOC)
+    doc.pop("constraints")
+    doc["checks"] = ["decomposition"]
+    assert run(parse_problem(json.dumps(doc))).error["type"] == "ZeroBoundaryWeight"
+    assert capsys.readouterr().err == ""
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "analyze", broken)
+    report = run(parse_problem(ABSTRACT_DOC))
+    assert report.error == {"type": "RuntimeError", "message": "boom"}
+    assert report.verdict == "fail"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
 
 
 def test_report_json_round_trip():
