@@ -38,7 +38,7 @@ from .errors import (
     ImpossibleCounts,
     TrivialFunctional,
 )
-from .tolerances import Tolerances, zero_band
+from .tolerances import Tolerances, near_band_edge, zero_band
 
 
 # What one constraint does to the counts, by the branch its dual solve
@@ -168,7 +168,7 @@ def solve_dual(form: SymmetricForm, phi,
         # the zero congruence columns span Ker(A); z is the gram-orthogonal
         # projection onto it, whatever basis spans it
         K = factor(form).split(tol)[1]
-        KGK = K.T.dot(form.space.gram.dot(K))
+        KGK = exactla.congruence(form.space.gram, K)
         z = K.dot(exactla.solve_general(KGK, K.T.dot(f)))
         return SolveOutcome("not_in_range", kernel_component=z, residual=0.0)
     u, *_ = np.linalg.lstsq(A, f, rcond=None)
@@ -209,7 +209,7 @@ def decide(form: SymmetricForm, phi, tol: Tolerances | None = None) -> Decision:
         val, band = outcome.phi_of_u, 0
         if not form.exact:
             val, band = rayleigh(form, outcome.u, tol)
-            marginal = band / tol.marginal_factor <= abs(val) <= band * tol.marginal_factor
+            marginal = bool(near_band_edge(val, band, tol))
         branch = "zero" if abs(val) <= band else "negative" if val < 0 else "positive"
     return Decision(branch, *BRANCH_EFFECT[branch], marginal, outcome)
 

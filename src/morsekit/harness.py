@@ -34,7 +34,7 @@ from .boundary import (
     weak_index,
 )
 from .constraints import BRANCH_EFFECT, analyze
-from .errors import MorsekitError, ParseError, ValidationError
+from .errors import ImpossibleCounts, MorsekitError, ParseError, ValidationError
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -466,7 +466,10 @@ def fuzz(seed: int, trials: int, dim_max: int = 8, backend: str = "exact",
     out-of-range functionals plus multi-constraint sets of size 2 and 3.
     Passing k_choices restricts trials to multi-constraint instances with
     the given sizes.  In exact mode any disagreement fails the campaign;
-    in floating mode only disagreements free of marginal warnings do.
+    in floating mode only disagreements free of marginal warnings do.  A
+    trial whose analysis raises ImpossibleCounts is recorded among the
+    disagreements with its ``error`` and fails the campaign; the
+    remaining trials still run.
     """
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
@@ -509,7 +512,12 @@ def fuzz(seed: int, trials: int, dim_max: int = 8, backend: str = "exact",
         branch_counts[branch] = branch_counts.get(branch, 0) + 1
 
         form = SymmetricForm.from_matrix(A, exact=exact, tol=tol)
-        rep = analyze(form, fs, tol)
+        try:
+            rep = analyze(form, fs, tol)
+        except ImpossibleCounts as exc:
+            disagreements.append(_instance_dump(t, branch, A, fs) | {
+                "error": {"type": type(exc).__name__, "message": str(exc)}})
+            continue
 
         drop_oracle = rep.mi_full - rep.mi_constrained_oracle
         change_oracle = rep.nullity_constrained_oracle - rep.nullity_full

@@ -45,20 +45,24 @@ def zero_band(scale: float, tol: Tolerances) -> float:
     return tol.null_band * scale
 
 
+def near_band_edge(values, tau: float, tol: Tolerances) -> np.ndarray:
+    """True where a value's distance to the nearest band edge (+tau or
+    -tau) is at most marginal_factor * tau; every value inside the band is
+    therefore marginal as well, since a true zero cannot be told apart from
+    a small nonzero at working precision."""
+    return np.abs(np.abs(values) - tau) <= tol.marginal_factor * tau
+
+
 def classify_spectrum(eigenvalues: np.ndarray, tol: Tolerances,
                       scale: float | None = None) -> tuple[int, int, int, bool]:
-    """Counts (negative, zero, positive) plus a marginal flag.
-
-    An eigenvalue is marginal when its distance to the nearest band edge
-    (+tau or -tau) is at most marginal_factor * tau; every eigenvalue inside
-    the band is therefore marginal as well, since a true zero cannot be told
-    apart from a small nonzero at working precision.  ``scale`` is the
-    parent's spectral radius, by default the spectrum's own.
+    """Counts (negative, zero, positive) plus a marginal flag, raised when
+    some eigenvalue is ``near_band_edge``.  ``scale`` is the parent's
+    spectral radius, by default the spectrum's own.
     """
     w = np.asarray(eigenvalues, dtype=float)
     tau = zero_band(spectral_radius(w) if scale is None else scale, tol)
     neg = int(np.sum(w < -tau))
     zero = int(np.sum(np.abs(w) <= tau))
     pos = int(w.size) - neg - zero
-    marginal = bool(np.any(np.abs(np.abs(w) - tau) <= tol.marginal_factor * tau))
+    marginal = bool(np.any(near_band_edge(w, tau, tol)))
     return neg, zero, pos, marginal

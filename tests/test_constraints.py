@@ -440,3 +440,14 @@ def test_functional_wrapper_call():
     assert phi.dim == 2
     assert not phi.is_zero()
     assert Functional(fv([0, 0])).is_zero()
+
+
+def test_phi_of_u_deep_inside_the_band_is_marginal():
+    # diag(1, -1) with f = (1, 1): u = (1, -1) and phi(u) = 0 exactly, so
+    # the zero branch rests on a value inside the band and is flagged, by
+    # the same rule that flags the restricted spectrum
+    form = SymmetricForm.from_matrix(np.diag([1.0, -1.0]))
+    rep = analyze(form, [np.array([1.0, 1.0])])
+    assert (rep.mi_constrained_predicted, rep.nullity_constrained_predicted) == (0, 1)
+    assert "phi(u) classification is marginal" in rep.warnings
+    assert "restricted spectrum has marginal eigenvalues" in rep.warnings

@@ -10,7 +10,7 @@ import pytest
 
 from morsekit import boundary, harness
 from morsekit.cli import main
-from morsekit.errors import ParseError, ValidationError
+from morsekit.errors import ImpossibleCounts, ParseError, ValidationError
 from morsekit.harness import (
     fuzz,
     parse_problem,
@@ -383,6 +383,29 @@ def test_fuzz_validations():
 def test_fuzz_report_bytes_are_pinned(backend, digest):
     text = report_to_json(fuzz(seed=42, trials=200, backend=backend))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_fuzz_records_impossible_counts_and_goes_on(monkeypatch):
+    real = harness.analyze
+    seen = []
+
+    def analyze_failing_once(form, constraints, tol=None):
+        seen.append(form)
+        if len(seen) == 3:
+            raise ImpossibleCounts("predicted index -1 and nullity 2 are impossible")
+        return real(form, constraints, tol)
+
+    monkeypatch.setattr(harness, "analyze", analyze_failing_once)
+    report = fuzz(seed=42, trials=10)
+    summary = report.payloads["summary"]
+    assert len(seen) == 10
+    assert report.verdict == "fail"
+    assert summary["agreements"] == 9
+    [dump] = summary["disagreements"]
+    assert dump["trial"] == 2
+    assert dump["error"] == {"type": "ImpossibleCounts",
+                             "message": "predicted index -1 and nullity 2 are impossible"}
+    jsonschema.validate(json.loads(report_to_json(report)), _REPORT_SCHEMA)
 
 
 def test_fuzz_timing_absent_for_reproducibility():
