@@ -28,11 +28,15 @@ from .tolerances import DEFAULT, Tolerances, classify_spectrum, spectral_radius,
 
 
 def as_backend_matrix(matrix, exact: bool | None = None) -> np.ndarray:
-    """Normalize input to a square object-Fraction or float64 array."""
+    """Normalize input to a square object-Fraction or float64 array.
+
+    Float64 input is shared, not copied: a form or space built on an array
+    holds that array, which must therefore not be mutated afterwards.
+    """
     arr = np.asarray(matrix)
     if exact is None:
         exact = arr.dtype == object
-    return exactla.frac_matrix(arr) if exact else arr.astype(float)
+    return exactla.frac_matrix(arr) if exact else np.asarray(arr, dtype=float)
 
 
 def as_backend_vector(vec, exact: bool) -> np.ndarray:
@@ -53,16 +57,61 @@ def _check_symmetric(matrix: np.ndarray, tol: Tolerances, what: str) -> None:
                            f"(max asymmetry {gap:.3e})")
 
 
-def _eigh(matrix: np.ndarray, gram: np.ndarray | None = None):
-    """Eigenvalues (and vectors) via LAPACK, wrapped in our error type."""
+def _eigh(matrix: np.ndarray, gram: np.ndarray | None = None, vectors: bool = True):
+    """(eigenvalues, eigenvectors) via LAPACK, wrapped in our error type;
+    the eigenvectors are None, and not computed, when ``vectors`` is false.
+    The two LAPACK paths round differently, so a caller that prints
+    eigenvalues must keep to one of them."""
     if matrix.shape[0] == 0:
-        return np.empty(0), np.empty((0, 0))
+        return np.empty(0), (np.empty((0, 0)) if vectors else None)
     try:
-        if gram is None:
-            return scipy.linalg.eigh(matrix)
-        return scipy.linalg.eigh(matrix, gram)
+        if vectors:
+            return scipy.linalg.eigh(matrix, gram)
+        return scipy.linalg.eigh(matrix, gram, eigvals_only=True), None
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise EigensolverFailure(str(exc)) from exc
+
+
+def _positive_definite(g: np.ndarray, tol: Tolerances) -> bool:
+    """Whether the symmetric gram g is positive definite: every exact
+    congruence pivot is positive, or the smallest floating eigenvalue lies
+    above the zero band of the spectral radius."""
+    if g.shape[0] == 0:
+        return True
+    d = np.diagonal(g)
+    if np.count_nonzero(g) == np.count_nonzero(d):
+        # a diagonal gram's eigenvalues are its diagonal
+        if g.dtype == object:
+            return all(x > 0 for x in d)
+        return bool(d.min() > zero_band(float(np.max(np.abs(d))), tol))
+    if g.dtype == object:
+        neg, zero, _ = exactla.inertia_counts(g)
+        return not (neg or zero)
+    if _cholesky_clears_band(g, tol):
+        return True
+    w = np.linalg.eigvalsh(g)
+    return bool(w[0] > zero_band(spectral_radius(w), tol))
+
+
+def _cholesky_clears_band(g: np.ndarray, tol: Tolerances) -> bool:
+    """A sufficient test for the floating rule of ``_positive_definite``.
+
+    r, the largest absolute row sum, bounds the spectral radius, so a
+    Cholesky factorization of g - 2 * band(r) * I proves that the smallest
+    eigenvalue of g exceeds band(r) >= band(spectral radius), with a
+    margin of band(r) for the rounding of the factorization.  The shift
+    never drops below a rounding bound of order n * eps * r.  A failure
+    proves nothing, and the caller falls back to the eigenvalues.
+    """
+    n = g.shape[0]
+    r = float(np.linalg.norm(g, np.inf))
+    shifted = g.copy()
+    shifted.flat[::n + 1] -= 2.0 * max(zero_band(r, tol), n * np.finfo(float).eps * r)
+    # the transpose is the Fortran-ordered view LAPACK factors in place; its
+    # upper triangle is the lower triangle eigvalsh reads
+    _, info = scipy.linalg.lapack.dpotrf(shifted.T, lower=False, overwrite_a=True,
+                                         clean=False)
+    return info == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,14 +130,8 @@ class InnerProductSpace:
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise NotPositiveDefinite("gram matrix must be square")
         _check_symmetric(g, self.tol, "gram matrix")
-        if g.dtype == object:
-            neg, zero, _ = exactla.inertia_counts(g)
-            if neg or zero:
-                raise NotPositiveDefinite("gram matrix is not positive definite")
-        elif g.shape[0] > 0:
-            w = np.linalg.eigvalsh(g)
-            if w[0] <= zero_band(spectral_radius(w), self.tol):
-                raise NotPositiveDefinite("gram matrix is not positive definite")
+        if not _positive_definite(g, self.tol):
+            raise NotPositiveDefinite("gram matrix is not positive definite")
         object.__setattr__(self, "gram", g)
 
     @classmethod
@@ -119,6 +162,7 @@ class SymmetricForm:
 
     ``factored`` caches the form's one factorization (see :func:`factor`);
     a caller that already holds the pencil's eigenvalues may pass them in.
+    The matrix is shared with float64 input (see :func:`as_backend_matrix`).
     """
 
     space: InnerProductSpace
@@ -252,7 +296,7 @@ def inertia(form: SymmetricForm, tol: Tolerances | None = None) -> Inertia:
     non-Euclidean spaces).
     """
     tol = tol or form.space.tol
-    return (form.factored or factor(form)).inertia(tol)
+    return factor(form, vectors=False).inertia(tol)
 
 
 def morse_index(form: SymmetricForm, tol: Tolerances | None = None) -> int:
@@ -269,18 +313,21 @@ def _is_identity(g: np.ndarray) -> bool:
     return g.dtype != object and bool(np.array_equal(g, np.eye(g.shape[0])))
 
 
-def factor(form: SymmetricForm) -> Factorization:
-    """The form's factorization with its vectors, computed once and kept
-    on the form: one ``_eigh`` on the floating backend, one congruence
-    diagonalization on the exact backend."""
+def factor(form: SymmetricForm, vectors: bool = True) -> Factorization:
+    """The form's factorization, computed once and kept on the form: one
+    ``_eigh`` on the floating backend, one congruence diagonalization on
+    the exact backend.  With ``vectors`` false a floating form is solved
+    for its eigenvalues alone, which is all its counts and zero band
+    read; a factorization without vectors is solved again when vectors
+    are asked for."""
     fac = form.factored
-    if fac is None or fac.vectors is None:
+    if fac is None or (vectors and fac.vectors is None):
         if form.exact:
             C, diag = exactla.congruence_diagonalize(form.matrix)
             fac = Factorization(np.array(diag, dtype=object), C)
         else:
             gram = None if _is_identity(form.space.gram) else form.space.gram
-            fac = Factorization(*_eigh(form.matrix, gram), scale=form.parent_scale)
+            fac = Factorization(*_eigh(form.matrix, gram, vectors), scale=form.parent_scale)
         object.__setattr__(form, "factored", fac)
     return fac
 
@@ -363,7 +410,7 @@ def restrict_to(form: SymmetricForm, sub: Subspace) -> SymmetricForm:
     child = SymmetricForm(InnerProductSpace(G2, form.space.tol), A2)
     if not form.exact:
         # the rounding error of B^T A B scales with A, so A's band is kept
-        object.__setattr__(child, "parent_scale", (form.factored or factor(form)).scale)
+        object.__setattr__(child, "parent_scale", factor(form, vectors=False).scale)
     return child
 
 
@@ -372,7 +419,7 @@ def rayleigh(form: SymmetricForm, u, tol: Tolerances | None = None):
     quotient lies in the band.  Floating u is scaled to unit largest entry
     first, so no square of a huge or tiny vector is formed."""
     u = as_backend_vector(u, form.exact)
-    band = 0 if form.exact else (form.factored or factor(form)).band(tol or form.space.tol)
+    band = 0 if form.exact else factor(form, vectors=False).band(tol or form.space.tol)
     if not np.any(u):
         return 0, band
     if not form.exact:
@@ -402,10 +449,12 @@ def maximal_negative_subspace_through(form: SymmetricForm, u,
     """
     tol = tol or form.space.tol
     u = as_backend_vector(u, form.exact)
+    # factored with vectors before rayleigh reads its band
+    fac = factor(form)
     quotient, band = rayleigh(form, u, tol)
     if not quotient < -band:
         raise NotNegativeDirection("S(u, u) must be negative beyond the zero band")
-    vecs = list(factor(form).split(tol)[0].T)
+    vecs = list(fac.split(tol)[0].T)
     k = len(vecs)
     # the S-projection of u onto span(c_i) has square sum(w_i^2 / d_i),
     # which is <= S(u, u) < 0, so some pairing w_j = S(u, c_j) is nonzero

@@ -310,6 +310,10 @@ def analyze(form: SymmetricForm, constraints,
     """
     tol = tol or form.space.tol
     phis = [as_functional(p, form.exact) for p in constraints]
+    # the full form is factored with its vectors, which an out-of-range
+    # witness reads; a factorization passed in is used as it is
+    if form.factored is None:
+        factor(form)
     full = inertia(form, tol)
     warnings: list[str] = []
     if full.marginal:

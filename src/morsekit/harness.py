@@ -10,6 +10,7 @@ built in L-coordinates land in a prescribed branch of the predictors.
 """
 from __future__ import annotations
 
+import functools
 import json
 import time
 import traceback
@@ -41,6 +42,17 @@ from .tolerances import DEFAULT, Tolerances
 def _load_schema(name: str) -> dict:
     with resources.files("morsekit.schemas").joinpath(name).open("r") as fh:
         return json.load(fh)
+
+
+@functools.cache
+def _problem_validator():
+    """The problem schema's validator, built and checked against its
+    metaschema once per process, as ``jsonschema.validate`` would on
+    every call."""
+    schema = _load_schema("problem.schema.json")
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +154,10 @@ def parse_problem(text: str) -> ProblemFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    schema = _load_schema("problem.schema.json")
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ValidationError(f"{path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_problem_validator().iter_errors(doc))
+    if error is not None:
+        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ValidationError(f"{path}: {error.message}") from error
     tol = DEFAULT.with_overrides(**doc.get("tolerances", {}))
     if doc["kind"] == "abstract":
         return _parse_abstract(doc, tol)

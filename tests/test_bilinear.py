@@ -26,6 +26,7 @@ from morsekit.errors import (
     UnsupportedBackend,
 )
 from morsekit.harness import random_unimodular
+from morsekit.tolerances import DEFAULT, spectral_radius, zero_band
 
 
 def exact_form(rows):
@@ -49,6 +50,75 @@ def test_space_rejects_indefinite_gram():
         InnerProductSpace(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(NotPositiveDefinite):
         InnerProductSpace(exactla.frac_matrix([[0, 0], [0, 1]]))
+
+
+def _eigenvalue_rule(g):
+    # the dense rule a floating gram is judged by: its smallest eigenvalue
+    # lies above the zero band of its spectral radius
+    w = np.linalg.eigvalsh(g)
+    return w[0] > zero_band(spectral_radius(w), DEFAULT)
+
+
+def _accepted(gram):
+    try:
+        InnerProductSpace(gram)
+    except NotPositiveDefinite:
+        return False
+    return True
+
+
+def _spd(rng, n, smallest):
+    # symmetric, spectral radius 1, smallest eigenvalue `smallest`
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = np.concatenate([[smallest], rng.uniform(0.1, 1.0, n - 2), [1.0]])
+    g = (Q * lam) @ Q.T
+    return 0.5 * (g + g.T)
+
+
+def test_gram_check_decides_as_the_eigenvalue_rule():
+    rng = np.random.default_rng(12)
+    grams = []
+    for n in (2, 5, 17, 60):
+        for smallest in np.concatenate([np.logspace(-11, -7, 33), [0.0, -1e-9, -1.0]]):
+            grams.append(_spd(rng, n, smallest))
+    for d in ([1.0, 2.0], [1e-10, 1.0], [2e-9, 1.0], [1e-9, -1.0], [0.0, 1.0],
+              [-1.0, 2.0], [3.0]):
+        grams.append(np.diag(d))
+    decisions = [_accepted(g) for g in grams]
+    assert decisions == [_eigenvalue_rule(g) for g in grams]
+    assert 0 < sum(decisions) < len(decisions)
+
+
+def test_well_conditioned_gram_needs_no_eigenvalues(monkeypatch):
+    def refuse(_):
+        raise AssertionError("eigvalsh ran")
+
+    grams = [_spd(np.random.default_rng(n), n, 0.5) for n in (3, 40)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for g in grams:
+        InnerProductSpace(g)
+    InnerProductSpace(np.diag([1e-3, 5.0]))
+
+
+def test_diagonal_exact_gram_needs_no_congruence(count_calls):
+    calls = count_calls(exactla, "congruence_diagonalize")
+    SymmetricForm.from_matrix(exactla.frac_matrix([[1, 2], [2, -3]]))
+    InnerProductSpace(exactla.frac_matrix([[Fraction(1, 3), 0], [0, 5]]))
+    for bad in ([[0, 0], [0, 1]], [[2, 0], [0, -1]]):
+        with pytest.raises(NotPositiveDefinite):
+            InnerProductSpace(exactla.frac_matrix(bad))
+    assert calls == []
+    with pytest.raises(NotPositiveDefinite):
+        InnerProductSpace(exactla.frac_matrix([[1, 2], [2, 1]]))
+    assert len(calls) == 1
+
+
+def test_float_input_is_shared_not_copied():
+    A = np.array([[1.0, 2.0], [2.0, -3.0]])
+    G = np.array([[2.0, 1.0], [1.0, 2.0]])
+    form = SymmetricForm.from_matrix(A, gram=G)
+    assert np.shares_memory(form.matrix, A)
+    assert np.shares_memory(form.space.gram, G)
 
 
 def test_form_rejects_asymmetric_matrix():

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from morsekit import boundary
 from morsekit.boundary import (
+    _GAUSS_XI,
     AssembledProblem,
     Constant,
     CoefficientSpec,
     IntervalDomain,
     NodalSamples,
     Polynomial,
+    _potential_values,
     assemble,
     dirichlet_spectrum,
     refine_and_check,
@@ -145,6 +148,51 @@ def test_polynomial_potential_evaluation():
     prob_full = problem(0.0, 1.0, 8, Polynomial((1.0, 0.0, 1.0)))
     prob_sq = problem(0.0, 1.0, 8, Polynomial((0.0, 0.0, 1.0)))
     assert np.allclose(prob_full.P - prob_sq.P, prob_full.Mmass, atol=1e-14)
+
+
+def _element_loop_assembly(domain, coeffs):
+    # reference: the element-by-element loop, one 2x2 block added at a time
+    n, h, nodes = domain.n_elements, domain.h, domain.nodes
+    K, M, P = (np.zeros((n + 1, n + 1)) for _ in range(3))
+    k_el = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    m_el = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    for e in range(n):
+        sl = slice(e, e + 2)
+        K[sl, sl] += k_el
+        M[sl, sl] += m_el
+        p_el = np.zeros((2, 2))
+        for xi in _GAUSS_XI:
+            xg = nodes[e] + xi * h
+            pval = float(_potential_values(coeffs.p, np.array([xg]), domain)[0])
+            shape = np.array([1.0 - xi, xi])
+            p_el += (h / 2.0) * pval * np.outer(shape, shape)
+        P[sl, sl] += p_el
+    D = np.zeros((n + 1, n + 1))
+    D[0, 0] = coeffs.q_a
+    D[-1, -1] = coeffs.q_b
+    return K, M, P, D, K - P - D
+
+
+@pytest.mark.parametrize("kind", ["constant", "polynomial", "nodal"])
+def test_assembly_is_bitwise_the_element_loop(kind):
+    rng = np.random.default_rng({"constant": 1, "polynomial": 2, "nodal": 3}[kind])
+    sizes = [1, 2, 3, 7, 64, 128, 181, 300] + list(rng.integers(1, 301, 12))
+    for n in sizes:
+        n = int(n)
+        a = float(rng.uniform(-3.0, 1.0))
+        b = a + float(rng.uniform(0.1, 5.0))
+        if kind == "constant":
+            p = Constant(float(rng.normal() * 10.0))
+        elif kind == "polynomial":
+            p = Polynomial(tuple(rng.normal(size=int(rng.integers(1, 8))) * 40.0))
+        else:
+            p = NodalSamples(tuple(rng.normal(size=n + 1) * 5.0))
+        dom = IntervalDomain(a, b, n)
+        coeffs = CoefficientSpec(p, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)))
+        prob = assemble(dom, coeffs)
+        got = (prob.K, prob.Mmass, prob.P, prob.D, prob.Qmat)
+        for mine, ref in zip(got, _element_loop_assembly(dom, coeffs)):
+            assert mine.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +417,16 @@ def test_weak_index_custom_functional():
     e0[0] = 1.0
     rep = weak_index(prob, constraint=e0)
     assert rep.agreement
+
+
+def test_weak_index_form_holds_the_assembled_matrices(monkeypatch):
+    # float64 matrices are shared with the form and its space, not copied
+    prob = problem(0.0, 1.0, 16, Constant(3.0))
+    seen = []
+    monkeypatch.setattr(boundary, "analyze", lambda form, phis, tol: seen.append(form))
+    weak_index(prob)
+    assert np.shares_memory(seen[0].matrix, prob.Qmat)
+    assert np.shares_memory(seen[0].space.gram, prob.Mmass)
 
 
 def test_weak_index_unknown_keyword():

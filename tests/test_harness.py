@@ -134,6 +134,38 @@ def test_parse_rejects_unknown_keys():
         parse_problem(json.dumps(doc))
 
 
+def test_shipped_schemas_are_valid():
+    for name in ("problem.schema.json", "report.schema.json"):
+        schema = json.loads(resources.files("morsekit.schemas").joinpath(name).read_text())
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+_PDE_BASE = json.loads(PDE_DECOMP_DOC)
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"kind": "pde", "domain": None, "p": None, "q_a": None, "q_b": None},
+     "kind: 'abstract' was expected"),
+    ({"kind": "graph"},
+     "<root>: {'kind': 'graph', 'domain': {'a': 0.0, 'b': 1.0, 'n_elements': 16}, "
+     "'p': {'constant': 0.0}, 'q_a': 1.0, 'q_b': 1.0} is not valid under any of the "
+     "given schemas"),
+    ({"domain": {"a": 0.0, "b": 1.0, "n_elements": 0}},
+     "domain.n_elements: 0 is less than the minimum of 1"),
+    ({"q_b": -0.5}, "kind: 'abstract' was expected"),
+    ({"p": {"polynomial": [1, 2, 3, 4, 5, 6, 7, 8]}}, "kind: 'abstract' was expected"),
+    ({"tolerances": {"null_band": -1e-9}},
+     "tolerances.null_band: -1e-09 is less than or equal to the minimum of 0"),
+    ({"checks": []}, "checks: [] should be non-empty"),
+])
+def test_schema_messages_are_stable(changes, message):
+    # the messages jsonschema.validate gives, read from one validator
+    doc = {k: v for k, v in {**_PDE_BASE, **changes}.items() if v is not None}
+    with pytest.raises(ValidationError) as exc:
+        parse_problem(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def test_parse_pde_defaults():
     prob = parse_problem(PDE_DOC)
     assert prob.kind == "pde"
