@@ -261,6 +261,29 @@ class Factorization:
         tau = self.band(tol)
         return X[:, w < -tau], X[:, np.abs(w) <= tau], X[:, w > tau]
 
+    def range_cosine(self, f: np.ndarray, tol: Tolerances) -> float:
+        """How far f is from range(A) = Ker(A)^perp, where the zero columns
+        K span Ker(A): |Q^T f| / |f| for a Euclidean orthonormal basis Q of
+        K (floating), 0 when the band is empty.  The exact backend decides
+        K^T f = 0 without a measure and reports 0 or 1."""
+        K = self.split(tol)[1]
+        if self.values.dtype == object:
+            return float(np.any(K.T.dot(f)))
+        if K.shape[1] == 0:
+            return 0.0
+        # BLAS norms scale internally: f may be near the float range ends
+        return float(scipy.linalg.norm(np.linalg.qr(K)[0].T.dot(f)) / scipy.linalg.norm(f))
+
+    def solve(self, f: np.ndarray, tol: Tolerances) -> np.ndarray:
+        """u = sum of x_i (x_i^T f) / w_i over the columns x_i outside the
+        zero band, so A u = f for every f in range(A)."""
+        w, X = self.values, self.vectors
+        keep = np.abs(w) > self.band(tol)
+        if w.dtype == object:
+            return exactla.pseudo_solve(X[:, keep], w[keep], f)
+        Y = X[:, keep]
+        return Y.dot(Y.T.dot(f) / w[keep])
+
 
 @dataclass(frozen=True, eq=False)
 class Subspace:

@@ -21,7 +21,8 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-null", type=float, default=None, metavar="X",
                         help="override the relative zero-band width")
     parser.add_argument("--tol-residual", type=float, default=None, metavar="X",
-                        help="override the relative dual-solve residual threshold")
+                        help="override the range-cosine cutoff: a functional whose "
+                             "cosine with the band kernel exceeds X is out of range")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import exactla
 from .bilinear import (
@@ -38,7 +37,7 @@ from .errors import (
     ImpossibleCounts,
     TrivialFunctional,
 )
-from .tolerances import Tolerances, near_band_edge, zero_band
+from .tolerances import Tolerances, near_band_edge
 
 
 # What one constraint does to the counts, by the branch its dual solve
@@ -82,8 +81,10 @@ class SolveOutcome:
 
     status is "in_range" (u and phi_of_u populated) or "not_in_range"
     (kernel_component is a kernel vector z of A with phi(z) != 0, the
-    witness that no solution exists).  residual is the floating relative
-    residual of the solve; the exact backend reports 0.
+    witness that no solution exists).  residual is the range cosine the
+    decision read (``Factorization.range_cosine``): on the floating
+    backend the cosine of the angle between f and Ker(A), on the exact
+    one 0 in range and 1 out of it.
     """
 
     status: str
@@ -149,50 +150,36 @@ def solve_dual(form: SymmetricForm, phi,
                tol: Tolerances | None = None) -> SolveOutcome:
     """Decide whether the constraint has a dual vector and produce it.
 
-    Exact backend: Gaussian elimination with exact rank decisions; free
-    variables of an underdetermined consistent system are set to zero.
-    Floating backend: minimum-norm least squares, accepted when the
-    relative residual is at most ``tol.residual``; residuals within a
-    factor ``marginal_factor`` of the threshold raise a warning either
-    way.  The not-in-range witness is the projection of f onto the
-    numerical kernel of A, which pairs positively with phi.
+    Both backends read the form's one factorization.  f is in range(A) =
+    Ker(A)^perp when its ``range_cosine`` against the zero columns K is at
+    most the cutoff: 0 on the exact backend, ``tol.residual`` on the
+    floating one, where a cosine within a factor ``marginal_factor`` of
+    the cutoff raises a warning either way.  The dual is
+    ``Factorization.solve``; the not-in-range witness is the
+    gram-orthogonal projection of phi's representing vector onto Ker(A),
+    which pairs positively with phi.
     """
     tol = tol or form.space.tol
-    phi = as_functional(phi, form.exact)
-    f = phi.coeffs
-    A = form.matrix
-    if form.exact:
-        x = exactla.solve_general(A, f)
-        if x is not None:
-            return SolveOutcome("in_range", u=x, phi_of_u=f.dot(x), residual=0.0)
-        # the zero congruence columns span Ker(A); z is the gram-orthogonal
-        # projection onto it, whatever basis spans it
-        K = factor(form).split(tol)[1]
-        KGK = exactla.congruence(form.space.gram, K)
-        z = K.dot(exactla.solve_general(KGK, K.T.dot(f)))
-        return SolveOutcome("not_in_range", kernel_component=z, residual=0.0)
-    u, *_ = np.linalg.lstsq(A, f, rcond=None)
-    # BLAS norms scale internally: f and u may be near the float range ends
-    fnorm = scipy.linalg.norm(f)
-    rel = scipy.linalg.norm(A.dot(u) - f) / fnorm
-    warnings = []
-    if tol.residual / tol.marginal_factor <= rel <= tol.residual * tol.marginal_factor:
-        warnings.append(f"dual solve residual {rel:.3e} is marginal against "
-                        f"threshold {tol.residual:.1e}")
-    if rel <= tol.residual:
-        return SolveOutcome("in_range", u=u, phi_of_u=float(f.dot(u)),
-                            residual=rel, warnings=tuple(warnings))
+    f = as_functional(phi, form.exact).coeffs
     fac = factor(form)
+    cosine = fac.range_cosine(f, tol)
+    cutoff = 0 if form.exact else tol.residual
+    warnings = ()
+    if cutoff and cutoff / tol.marginal_factor <= cosine <= cutoff * tol.marginal_factor:
+        warnings = (f"range cosine {cosine:.3e} of the dual solve is marginal "
+                    f"against cutoff {cutoff:.1e}",)
+    if cosine <= cutoff:
+        u = fac.solve(f, tol)
+        return SolveOutcome("in_range", u=u, phi_of_u=f.dot(u), residual=cosine,
+                            warnings=warnings)
     K = fac.split(tol)[1]
-    if K.shape[1] == 0:
-        warnings.append("no numerical kernel at tolerance; reporting the "
-                        "direction of smallest eigenvalue as the witness")
-        K = fac.vectors[:, [int(np.argmin(np.abs(fac.values)))]]
-    z = K.dot(K.T.dot(f))
-    if abs(float(f.dot(z))) <= zero_band(fnorm * scipy.linalg.norm(z), tol):
-        warnings.append("kernel witness pairs only marginally with the functional")
-    return SolveOutcome("not_in_range", kernel_component=z, residual=rel,
-                        warnings=tuple(warnings))
+    if form.exact:
+        z = K.dot(exactla.solve_general(exactla.congruence(form.space.gram, K), K.T.dot(f)))
+    else:
+        # the floating columns are gram-orthonormal: K^T G K = I
+        z = K.dot(K.T.dot(f))
+    return SolveOutcome("not_in_range", kernel_component=z, residual=cosine,
+                        warnings=warnings)
 
 
 def decide(form: SymmetricForm, phi, tol: Tolerances | None = None) -> Decision:
@@ -245,10 +232,14 @@ def _independent(form: SymmetricForm, coeff_rows: list[np.ndarray],
 def _on_span(form: SymmetricForm, duals: list) -> tuple[np.ndarray, SymmetricForm]:
     """The form on the span of the duals and the basis it is written in:
     the duals (exact), or an orthonormal basis of their span (floating),
-    which has the same inertia without squaring the duals' conditioning."""
+    which has the same inertia without squaring the duals' conditioning.
+    Exact counts read only the matrix, so the exact pairing form lives on
+    the Euclidean space and no gram U^T G U is formed."""
     U = np.stack(duals, axis=1)
-    if not form.exact:
-        U = np.linalg.qr(U)[0]
+    if form.exact:
+        return U, SymmetricForm.from_matrix(exactla.congruence(form.matrix, U), exact=True,
+                                            tol=form.space.tol)
+    U = np.linalg.qr(U)[0]
     return U, restrict_to(form, Subspace(U))
 
 
@@ -310,8 +301,9 @@ def analyze(form: SymmetricForm, constraints,
     """
     tol = tol or form.space.tol
     phis = [as_functional(p, form.exact) for p in constraints]
-    # the full form is factored with its vectors, which an out-of-range
-    # witness reads; a factorization passed in is used as it is
+    # the full form is factored with its vectors, which every dual solve
+    # reads; a values-only factorization passed in gives the counts, and
+    # the first dual solve solves the form again with vectors
     if form.factored is None:
         factor(form)
     full = inertia(form, tol)

@@ -243,6 +243,23 @@ def nullspace(matrix) -> list[np.ndarray]:
     return basis
 
 
+def pseudo_solve(basis, diag, rhs) -> np.ndarray:
+    """C D^-1 C^T rhs for integer columns C and nonzero rationals D.
+
+    With rhs = r / t and d_j = p_j / q_j, entry i is
+    sum_j C[i, j] (c_j . r) q_j (P / p_j) / (P t), P the LCM of the p_j;
+    every product is taken on ints and one Fraction is made per entry.
+    """
+    (r,), (t,) = _rows_cleared(np.asarray(rhs)[None, :])
+    cols = np.asarray(basis).T.tolist()
+    P = lcm(*[d.numerator for d in diag])
+    weights = [sum(map(mul, c, r)) * d.denominator * (P // d.numerator)
+               for c, d in zip(cols, diag)]
+    n = len(r)
+    return _object_array([Fraction(sum(c[i] * w for c, w in zip(cols, weights)), P * t)
+                          for i in range(n)], (n,))
+
+
 def solve_general(matrix, rhs) -> np.ndarray | None:
     """One solution of matrix @ x = rhs, or None when inconsistent.
 

@@ -372,17 +372,20 @@ def random_unimodular(rng: np.random.Generator, n: int) -> np.ndarray:
     """Integer matrix with determinant +-1 built from elementary row
     operations; entries are capped so products A = B^T L B stay exactly
     representable in both int64 and float64."""
-    B = np.eye(n, dtype=np.int64)
+    # rows are Python int lists: at dim <= 12, numpy scalar arithmetic
+    # costs more than the work
+    B = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(n + 4):
         i = int(rng.integers(n))
         j = int(rng.integers(n - 1))
         if j >= i:
             j += 1
-        c = int(rng.choice(np.array([-2, -1, 1, 2])))
-        candidate = B[i, :] + c * B[j, :]
-        if np.max(np.abs(candidate)) <= 300:
-            B[i, :] = candidate
-    return B
+        # draws the same stream as rng.choice over the four multipliers
+        c = (-2, -1, 1, 2)[rng.integers(4)]
+        candidate = [x + c * y for x, y in zip(B[i], B[j])]
+        if max(map(abs, candidate)) <= 300:
+            B[i] = candidate
+    return np.array(B, dtype=np.int64)
 
 
 def _make_single_instance(rng: np.random.Generator, dim_max: int, branch: str):

@@ -19,7 +19,8 @@ import numpy as np
 class Tolerances:
     # relative half-width of the zero band for eigenvalues and evaluations
     null_band: float = 1e-9
-    # relative residual threshold for accepting a dual solve
+    # range-cosine cutoff: f has a dual when |Q^T f| / |f| <= residual for
+    # a Euclidean orthonormal basis Q of the zero band's eigenvectors
     residual: float = 1e-8
     # relative pivot cutoff for rank decisions (QR with column pivoting)
     rank: float = 1e-10

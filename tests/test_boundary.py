@@ -486,3 +486,16 @@ def test_refine_without_boundary_weights_skips_split():
     assert rep.a == (None, None)
     assert rep.b == (None, None)
     assert rep.weak == (0, 0)
+
+
+def test_weak_index_of_a_nonsingular_ill_conditioned_form():
+    # a benchmark document whose Robin spectrum has no eigenvalue within 12
+    # band widths of zero, so every functional is in range; a least-squares
+    # residual of 1.1e-8 once called the volume functional out of range
+    # and predicted the impossible nullity -1
+    prob = problem(0.0, 1.0, 724, Polynomial((28.673, 6.499, -21.489, -40.079)),
+                   q_a=0.505, q_b=0.609)
+    rep = weak_index(prob)
+    assert (rep.mi_full, rep.nullity_full) == (1, 0)
+    assert (rep.mi_constrained_predicted, rep.nullity_constrained_predicted) == (1, 0)
+    assert rep.agreement and rep.warnings == ()

@@ -424,8 +424,8 @@ def test_analyze_float_backend_report():
 
 
 def test_analyze_factors_the_full_form_once(count_calls):
-    # one eigensolve for the full form, read again by the out-of-range
-    # witness, and one for the restricted form of the oracle
+    # one eigensolve for the full form, read again by the dual solve, and
+    # one for the restricted form of the oracle
     calls = count_calls(bilinear, "_eigh")
     form = SymmetricForm.from_matrix(np.diag([0.0, 1.0, -2.0]))
     rep = analyze(form, [np.array([1.0, 0.0, 0.0])])
@@ -451,3 +451,65 @@ def test_phi_of_u_deep_inside_the_band_is_marginal():
     assert (rep.mi_constrained_predicted, rep.nullity_constrained_predicted) == (0, 1)
     assert "phi(u) classification is marginal" in rep.warnings
     assert "restricted spectrum has marginal eigenvalues" in rep.warnings
+
+
+# ---------------------------------------------------------------------------
+# range and dual from the one factorization
+
+def test_exact_dual_in_range_needs_no_elimination(count_calls):
+    # f = A y is in range; the congruence factorization alone gives u
+    A = exactla.frac_matrix([[2, 1, 0], [1, 0, Fraction(1, 3)], [0, Fraction(1, 3), 0]])
+    form = SymmetricForm.from_matrix(A)
+    f = A.dot(fv([1, Fraction(-2, 7), 5]))
+    bilinear.factor(form)
+    rref = count_calls(exactla, "rref")
+    solve_general = count_calls(exactla, "solve_general")
+    out = solve_dual(form, f)
+    assert out.in_range and out.residual == 0
+    assert all(isinstance(x, Fraction) for x in out.u)
+    assert not np.any(A.dot(out.u) - f)
+    assert rref == [] and solve_general == []
+
+
+def test_empty_band_puts_every_functional_in_range():
+    # a nonsingular float form has no band kernel: every cosine is 0
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((5, 5))
+    form = SymmetricForm.from_matrix(m + m.T)
+    fac = bilinear.factor(form)
+    assert fac.split(form.space.tol)[1].shape[1] == 0
+    for _ in range(10):
+        f = rng.standard_normal(5)
+        assert fac.range_cosine(f, form.space.tol) == 0.0
+        out = solve_dual(form, f)
+        assert out.in_range and out.residual == 0.0 and out.warnings == ()
+        assert np.allclose(form.matrix.dot(out.u), f)
+
+
+def test_float_range_cosine_against_the_band_kernel():
+    # Ker A = span(1, 1, 0) / sqrt 2 in the weighted space; the cosine of
+    # f with that kernel is Euclidean, as range(A) = Ker(A)^perp is
+    form = SymmetricForm(InnerProductSpace(np.diag([1.0, 4.0, 2.0])),
+                         np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 3.0]]))
+    fac = bilinear.factor(form)
+    tol = form.space.tol
+    assert fac.range_cosine(np.array([1.0, -1.0, 2.0]), tol) < 1e-15
+    assert np.isclose(fac.range_cosine(np.array([1.0, 0.0, 0.0]), tol), np.sqrt(0.5))
+    out = solve_dual(form, np.array([1.0, -1.0, 2.0]))
+    assert out.in_range
+    assert np.allclose(form.matrix.dot(out.u), [1.0, -1.0, 2.0])
+    out = solve_dual(form, np.array([1.0, 0.0, 0.0]))
+    assert not out.in_range and np.isclose(out.residual, np.sqrt(0.5))
+    # the witness is the gram-orthogonal projection of G^-1 f onto Ker A
+    assert np.allclose(out.kernel_component, [0.2, 0.2, 0.0])
+
+
+def test_range_cosine_near_the_cutoff_is_marginal():
+    # f leans on the kernel e1 by a cosine of about 2e-8, within a factor
+    # 10 of the cutoff 1e-8, so the range decision is flagged
+    form = SymmetricForm.from_matrix(np.diag([0.0, 1.0]))
+    out = solve_dual(form, np.array([2e-8, 1.0]))
+    assert not out.in_range
+    assert len(out.warnings) == 1 and "marginal" in out.warnings[0]
+    out = solve_dual(form, np.array([1e-3, 1.0]))
+    assert not out.in_range and out.warnings == ()

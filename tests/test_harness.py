@@ -1,14 +1,17 @@
 """Problem files, reports, the fuzz campaign, and the command line."""
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from morsekit import boundary, harness
+from morsekit import bilinear, boundary, exactla, harness
 from morsekit.cli import main
 from morsekit.errors import ImpossibleCounts, ParseError, ValidationError
 from morsekit.harness import (
@@ -331,6 +334,34 @@ def test_random_unimodular_det_and_bounds():
         assert det in (-1, 1)
 
 
+def _random_unimodular_on_numpy(rng, n):
+    """The generator as written on numpy int64 rows, before it moved to
+    Python ints."""
+    B = np.eye(n, dtype=np.int64)
+    for _ in range(n + 4):
+        i = int(rng.integers(n))
+        j = int(rng.integers(n - 1))
+        if j >= i:
+            j += 1
+        c = int(rng.choice(np.array([-2, -1, 1, 2])))
+        candidate = B[i, :] + c * B[j, :]
+        if np.max(np.abs(candidate)) <= 300:
+            B[i, :] = candidate
+    return B
+
+
+def test_random_unimodular_draws_as_the_numpy_version():
+    # same matrices and the same generator state after each draw, so every
+    # fuzz instance built after it is unchanged too
+    for seed in range(300):
+        n = 2 + seed % 11
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        B = random_unimodular(rng, n)
+        assert B.dtype == np.int64
+        assert np.array_equal(B, _random_unimodular_on_numpy(ref, n))
+        assert rng.integers(2**62) == ref.integers(2**62)
+
+
 # ---------------------------------------------------------------------------
 # fuzz campaigns
 
@@ -443,6 +474,42 @@ def test_fuzz_records_impossible_counts_and_goes_on(monkeypatch):
 def test_fuzz_timing_absent_for_reproducibility():
     report = fuzz(seed=29, trials=5)
     assert report.timing_s is None
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's routing gate
+
+def _benchmark_targets() -> dict:
+    """``TARGETS`` of perfbench/tracer.py, a stdlib-only module, loaded
+    from its file without importing the benchmark package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_benchmark_targets_exist():
+    for mod, names in _benchmark_targets().items():
+        module = importlib.import_module(f"morsekit.{mod}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"morsekit.{mod}.{name}"
+
+
+def test_exact_fuzz_runs_every_exactla_target_and_no_eigensolve(count_calls):
+    # the benchmark refuses a fuzz-exact run in which any exactla target
+    # never ran or _eigh ran
+    calls = {name: count_calls(exactla, name) for name in _benchmark_targets()["exactla"]}
+    eigh = count_calls(bilinear, "_eigh")
+    assert fuzz(seed=42, trials=10).passed
+    assert [name for name, seen in calls.items() if not seen] == []
+    assert eigh == []
+
+
+def test_float_fuzz_runs_no_exactla_target(count_calls):
+    calls = {name: count_calls(exactla, name) for name in _benchmark_targets()["exactla"]}
+    assert fuzz(seed=42, trials=10, backend="float").passed
+    assert [name for name, seen in calls.items() if seen] == []
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from morsekit import (
     morse_index,
     s_project,
 )
+from morsekit import constraints
+from morsekit.constraints import BRANCH_EFFECT, Decision
 from morsekit.errors import ImpossibleCounts, NonSymmetric
 from morsekit.harness import random_unimodular
 
@@ -129,14 +131,33 @@ def test_tiny_scale_raises_no_warning():
     assert (rep.mi_constrained_predicted, rep.nullity_constrained_predicted) == (0, 1)
 
 
-def test_impossible_prediction_raises():
+def test_impossible_prediction_raises(monkeypatch):
+    # a decision no form can produce: the negative branch on diag(1, 2),
+    # whose Morse index 0 would drop to -1
+    real = constraints.decide
+
+    def negative(form, phi, tol=None):
+        return Decision("negative", *BRANCH_EFFECT["negative"], False,
+                        real(form, phi, tol).outcome)
+
+    monkeypatch.setattr(constraints, "decide", negative)
+    with pytest.raises(ImpossibleCounts, match="impossible in dimension 2"):
+        analyze(SymmetricForm.from_matrix(np.diag([1.0, 2.0])), [np.array([1.0, 0.0])])
+
+
+def test_eigenvalue_inside_the_band_gives_a_flagged_disagreement():
     # a congruent copy of a fuzz instance: the eigenvalue -3.6e-5 sits in
     # the zero band of a form of norm 1.1e5, so the float full counts are
-    # (0, 1) instead of (1, 0), and the zero branch would drop the index to -1
+    # (0, 1) instead of (1, 0); f pairs with that band kernel, so it is out
+    # of range and the prediction (0, 0) misses the oracle's (0, 1), which
+    # the marginal flag says, instead of an impossible nullity
     A = np.array([[47120, -55178], [-55178, 64614]])
     f = np.array([-152, 178])
-    with pytest.raises(ImpossibleCounts, match="impossible in dimension 2"):
-        analyze(SymmetricForm.from_matrix(A.astype(float)), [f.astype(float)])
+    rep = analyze(SymmetricForm.from_matrix(A.astype(float)), [f.astype(float)])
+    assert (rep.mi_constrained_predicted, rep.nullity_constrained_predicted) == (0, 0)
+    assert (rep.mi_constrained_oracle, rep.nullity_constrained_oracle) == (0, 1)
+    assert not rep.agreement
+    assert any("marginal" in w for w in rep.warnings)
     rep = analyze(SymmetricForm.from_matrix(A, exact=True), [f])
     assert (rep.mi_constrained_predicted, rep.nullity_constrained_predicted) == (0, 1)
 
