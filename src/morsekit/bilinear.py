@@ -388,22 +388,26 @@ def kernel_intersection(space: InnerProductSpace, constraints,
         if not basis:
             return Subspace(np.empty((n, 0), dtype=object))
         return Subspace(np.stack(basis, axis=1))
-    return Subspace(_float_nullspace(F, tol))
+    Q, r = float_row_split(F, tol)
+    return Subspace(Q[:, r:])
 
 
-def _float_nullspace(F: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthonormal kernel basis via QR with column pivoting on F^T."""
-    n = F.shape[1]
-    Q, R, _ = scipy.linalg.qr(F.T, pivoting=True)
+def float_row_split(F: np.ndarray, tol: Tolerances,
+                    mode: str = "full") -> tuple[np.ndarray, int]:
+    """(Q, r) from QR with column pivoting of F^T: r counts the pivots
+    above ``tol.rank`` times the largest, Q[:, :r] is an orthonormal basis
+    of F's row space and, in full mode, Q[:, r:] one of its kernel.  The
+    economic mode has the same R, so the same r."""
+    Q, R, _ = scipy.linalg.qr(F.T, pivoting=True, mode=mode)
     d = np.abs(np.diag(R)) if min(R.shape) else np.empty(0)
     r = 0
     if d.size and d[0] > 0:
         r = int(np.sum(d > tol.rank * d[0]))
-    return Q[:, r:]
+    return Q, r
 
 
 def float_rank(F: np.ndarray, tol: Tolerances) -> int:
-    return F.shape[1] - _float_nullspace(F, tol).shape[1]
+    return float_row_split(F, tol, "economic")[1]
 
 
 def restrict(form: SymmetricForm, constraints,

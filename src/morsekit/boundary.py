@@ -9,6 +9,16 @@ boundary Schur complement playing the role of the Dirichlet-to-Neumann
 form on discrete harmonic extensions.  The headline check is the exact
 matrix identity behind the index split MI(Q) = a + b: block inertia
 additivity of Qmat partitioned into interior and boundary nodes.
+
+The weak index, Q on the kernel of the volume functional or of explicit
+constraints, is predicted from the Robin factorization, whose kept
+eigenvectors give the dual solves.  Its oracle takes another route: the
+pencil is tridiagonal, so the counts of the restricted pencil come from
+the LDL^T recurrence of the pencil bordered by the constraints, O(n) per
+constraint and shift, instead of the dense restriction B^T A B and a
+third eigensolve.  The Robin and Dirichlet spectra stay dense eigensolves
+with vectors because they are printed, and the values-only LAPACK path
+rounds them differently.
 """
 from __future__ import annotations
 
@@ -19,8 +29,15 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .bilinear import Factorization, InnerProductSpace, SymmetricForm, _eigh
-from .constraints import ConstrainedReport, Functional, analyze
+from .bilinear import (
+    Factorization,
+    Inertia,
+    InnerProductSpace,
+    SymmetricForm,
+    _eigh,
+    float_row_split,
+)
+from .constraints import ConstrainedReport, Functional, analyze, as_functional
 from .errors import (
     DegenerateDirichletKernel,
     InvalidCoefficients,
@@ -102,21 +119,28 @@ class AssembledProblem:
         return self.K.shape[0]
 
     @property
-    def interior(self) -> np.ndarray:
-        return np.arange(1, self.n_nodes - 1)
+    def interior(self) -> slice:
+        """The interior nodes; a slice, so their blocks are views."""
+        return slice(1, self.n_nodes - 1)
 
     @property
     def boundary(self) -> np.ndarray:
         return np.array([0, self.n_nodes - 1])
 
     @cached_property
+    def robin_factorization(self) -> Factorization:
+        """The Robin pencil (Qmat, Mmass) solved once, eigenvalues and
+        eigenvectors, for both the index split and the weak index, whose
+        dual solves read the eigenvectors.  Solved with vectors in any
+        case: the values-only LAPACK path rounds differently (2e-8 apart at
+        n = 1024 on a spectrum of radius 1e7), and these eigenvalues are
+        printed in the spectrum report."""
+        return Factorization(*_eigh(self.Qmat, self.Mmass))
+
+    @property
     def robin(self) -> np.ndarray:
-        """Eigenvalues of the Robin pencil (Qmat, Mmass), computed once for
-        both the index split and the weak index; the eigenvectors are not
-        kept.  They are still computed: the values-only LAPACK path rounds
-        differently (2e-8 apart at n = 1024 on a spectrum of radius 1e7),
-        and these eigenvalues are printed in the spectrum report."""
-        return _eigh(self.Qmat, self.Mmass)[0]
+        """Eigenvalues of the Robin pencil, ascending."""
+        return self.robin_factorization.values
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,24 +243,24 @@ def dirichlet_spectrum(problem: AssembledProblem) -> np.ndarray:
     the interior mass block: the Robin pencil on the interior nodes.
     Solved with vectors, as the Robin pencil is, because the values-only
     LAPACK path rounds differently and these eigenvalues are printed."""
-    idx = problem.interior
-    A = (problem.K - problem.P)[np.ix_(idx, idx)]
-    M = problem.Mmass[np.ix_(idx, idx)]
-    return _eigh(A, M)[0]
+    # D vanishes off the two boundary diagonal entries, so this block of
+    # Qmat = K - P - D is bitwise that of K - P; the blocks are views, which
+    # LAPACK copies once, and no n x n K - P is built
+    i = problem.interior
+    return _eigh(problem.Qmat[i, i], problem.Mmass[i, i])[0]
 
 
 def _schur_boundary(problem: AssembledProblem) -> np.ndarray:
     """Boundary Schur complement T of A = K - P, the discrete
     Dirichlet-to-Neumann form on harmonic extensions."""
-    A = problem.K - problem.P
-    i = problem.interior
     bnd = problem.boundary
-    A_BB = A[np.ix_(bnd, bnd)]
-    if i.size == 0:
+    A_BB = problem.K[np.ix_(bnd, bnd)] - problem.P[np.ix_(bnd, bnd)]
+    if problem.n_nodes == 2:
         return A_BB
-    A_II = A[np.ix_(i, i)]
-    A_IB = A[np.ix_(i, bnd)]
-    T = A_BB - A_IB.T.dot(np.linalg.solve(A_II, A_IB))
+    # the interior rows of Qmat are those of K - P, as in dirichlet_spectrum
+    i = problem.interior
+    A_IB = problem.Qmat[i][:, bnd]
+    T = A_BB - A_IB.T.dot(np.linalg.solve(problem.Qmat[i, i], A_IB))
     return 0.5 * (T + T.T)
 
 
@@ -295,10 +319,13 @@ def verify_decomposition(problem: AssembledProblem,
     partition of Qmat into interior and boundary nodes, so away from
     marginal eigenvalues the equality is exact.
     """
+    # the clamped pencil is solved first, while the n x n Robin eigenvectors
+    # that the weak index reads are not yet held: a pde op's peak memory is
+    # then one dense eigensolve's, not one plus those eigenvectors
+    delta = dirichlet_spectrum(problem)
     lam = robin_spectrum(problem)
     scale = spectral_radius(lam)
     mi_neg, _, _, robin_marginal = classify_spectrum(lam, tol)
-    delta = dirichlet_spectrum(problem)
     d_neg, d_zero, _, dirichlet_marginal = classify_spectrum(delta, tol, scale)
     a = d_neg + d_zero
     stek = _steklov(problem, delta, scale, tol)
@@ -324,18 +351,89 @@ def weak_index(problem: AssembledProblem, constraint="volume",
                tol: Tolerances = DEFAULT) -> ConstrainedReport:
     """Morse index of Q restricted to mean-zero variations, or to the joint
     kernel of one functional or a list of them, predicted and
-    oracle-checked; the full-form counts are read off the Robin spectrum."""
+    oracle-checked.  The full-form counts and the dual solves read the
+    Robin factorization; the oracle is counted on the tridiagonal pencil
+    by :func:`_interval_oracle`."""
     form = SymmetricForm(InnerProductSpace(problem.Mmass, tol), problem.Qmat,
-                         Factorization(robin_spectrum(problem)))
+                         problem.robin_factorization)
     if isinstance(constraint, str):
         if constraint != "volume":
             raise InvalidCoefficients(f"unknown constraint kind {constraint!r}")
         phis = [volume_functional(problem)]
     elif isinstance(constraint, list):
-        phis = constraint
+        phis = [as_functional(p, exact=False) for p in constraint]
     else:
-        phis = [constraint]
-    return analyze(form, phis, tol)
+        phis = [as_functional(constraint, exact=False)]
+    F = np.array([p.coeffs for p in phis]).reshape(len(phis), problem.n_nodes)
+    return analyze(form, phis, tol, oracle=_interval_oracle(problem, F, tol))
+
+
+def _interval_oracle(problem: AssembledProblem, F: np.ndarray,
+                     tol: Tolerances) -> Inertia:
+    """Inertia of the Robin pencil on the joint kernel of the rows of F,
+    with the counts and marginal flag of ``inertia(restrict(form, F))``,
+    in O(n) per row of F instead of a dense restriction and eigensolve.
+
+    C, an orthonormal basis of F's row space, comes from the rank rule
+    of ``kernel_intersection``, so Ker C^T is the space the dense oracle
+    restricts to.  By Haynsworth's inertia additivity the bordered matrix
+    [[Q - s M, C], [C^T, 0]] has r + #(lambda < s) negative eigenvalues,
+    lambda running over the constrained pencil, and its LDL^T with the
+    border last counts them (``_bordered_negatives``).  Counts below
+    +-tau and +-(1 + marginal_factor) tau, tau the Robin pencil's zero
+    band, give the semantics of ``classify_spectrum`` and
+    ``near_band_edge``.
+    """
+    Q, r = float_row_split(F, tol, "economic")
+    C = Q[:, :r]
+    dim = problem.n_nodes - r
+    if dim == 0:
+        return Inertia(0, 0, 0)
+    tau = problem.robin_factorization.band(tol)
+    a, e = np.diagonal(problem.Qmat), np.diagonal(problem.Qmat, 1)
+    m, mo = np.diagonal(problem.Mmass), np.diagonal(problem.Mmass, 1)
+
+    def below(s: float) -> int:
+        return _bordered_negatives(a - s * m, e - s * mo, C) - r
+
+    edge = (1.0 + tol.marginal_factor) * tau
+    neg, up = below(-tau), below(tau)
+    return Inertia(neg, up - neg, dim - up, below(edge) - below(-edge) > 0)
+
+
+def _bordered_negatives(diag: np.ndarray, off: np.ndarray, C: np.ndarray) -> int:
+    """Negative pivots of the LDL^T of [[T, C], [C^T, 0]], T the symmetric
+    tridiagonal matrix with diagonal ``diag`` and off-diagonal ``off``.
+
+    T is eliminated first by the Sturm recurrence d_i = a_i - e_{i-1}^2 /
+    d_{i-1} (Barth-Martin-Wilkinson), with a zero pivot replaced by
+    eps * max |a|; the same pivots carry the border, y_i = c_i - l_{i-1}
+    y_{i-1} with l_i = e_i / d_i, into the Schur complement
+    S = -sum y_i y_i^T / d_i, whose eigenvalue signs are the border's
+    pivots.
+    """
+    tiny = np.finfo(float).eps * float(np.max(np.abs(diag)))
+    pivots = []
+    pivot = 1.0
+    for a, b in zip(diag.tolist(), [0.0] + off.tolist()):
+        pivot = a - b * b / pivot
+        if pivot == 0.0:
+            pivot = tiny
+        pivots.append(pivot)
+    d = np.array(pivots)
+    count = int(np.count_nonzero(d < 0.0))
+    if C.shape[1] == 0:
+        return count
+    ratios = [0.0] + (off / d[:-1]).tolist()
+    Y = np.empty_like(C)
+    for j in range(C.shape[1]):
+        y, col = 0.0, []
+        for c, ratio in zip(C[:, j].tolist(), ratios):
+            y = c - ratio * y
+            col.append(y)
+        Y[:, j] = col
+    S = -(Y / d[:, None]).T.dot(Y)
+    return count + int(np.count_nonzero(np.linalg.eigvalsh(S) < 0.0))
 
 
 def refine_and_check(problem: AssembledProblem, levels,

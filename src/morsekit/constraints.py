@@ -19,6 +19,7 @@ import numpy as np
 
 from . import exactla
 from .bilinear import (
+    Inertia,
     InnerProductSpace,
     Subspace,
     SymmetricForm,
@@ -289,8 +290,8 @@ def diagonalize_duals(form: SymmetricForm, duals,
     return [out[:, i] for i in range(out.shape[1])]
 
 
-def analyze(form: SymmetricForm, constraints,
-            tol: Tolerances | None = None) -> ConstrainedReport:
+def analyze(form: SymmetricForm, constraints, tol: Tolerances | None = None,
+            oracle: Inertia | None = None) -> ConstrainedReport:
     """Run predictions and the restriction oracle side by side.
 
     Constraint sets outside the theorems' hypotheses (a zero functional,
@@ -298,6 +299,12 @@ def analyze(form: SymmetricForm, constraints,
     degrade to oracle-only mode: the oracle columns are always filled,
     predictions become None, and a warning explains why.  Predicted
     counts no form can have raise ImpossibleCounts.
+
+    ``oracle`` is the inertia of the form on the joint kernel of the
+    constraints when the caller can count it on a cheaper route than the
+    dense restriction (``boundary.weak_index`` counts its tridiagonal
+    pencil); by default it is ``inertia(restrict(form, constraints))``.
+    Either way it is counted apart from the predictor.
     """
     tol = tol or form.space.tol
     phis = [as_functional(p, form.exact) for p in constraints]
@@ -310,7 +317,8 @@ def analyze(form: SymmetricForm, constraints,
     warnings: list[str] = []
     if full.marginal:
         warnings.append("full spectrum has marginal eigenvalues")
-    oracle = inertia(restrict(form, [p.coeffs for p in phis], tol), tol)
+    if oracle is None:
+        oracle = inertia(restrict(form, [p.coeffs for p in phis], tol), tol)
     if oracle.marginal:
         warnings.append("restricted spectrum has marginal eigenvalues")
 

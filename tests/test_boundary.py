@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from morsekit import boundary
+from morsekit.bilinear import InnerProductSpace, SymmetricForm, inertia, restrict
 from morsekit.boundary import (
     _GAUSS_XI,
     AssembledProblem,
@@ -29,6 +31,7 @@ from morsekit.errors import (
     InvalidCoefficients,
     ZeroBoundaryWeight,
 )
+from morsekit.tolerances import DEFAULT
 
 
 def problem(a, b, n, p, q_a=0.0, q_b=0.0):
@@ -255,6 +258,31 @@ def test_dirichlet_convergence_is_second_order():
     assert 3.6 < errs[1] / errs[2] < 4.4
 
 
+@pytest.mark.parametrize("kind", ["constant", "polynomial", "nodal"])
+def test_clamped_blocks_are_bitwise_those_of_k_minus_p(kind):
+    # the Dirichlet pencil and the Schur complement T read Qmat's interior
+    # rows; the reference builds the n x n K - P
+    rng = np.random.default_rng({"constant": 4, "polynomial": 5, "nodal": 6}[kind])
+    for n in [1, 2, 3, 7, 64, 181] + [int(x) for x in rng.integers(1, 301, 8)]:
+        if kind == "constant":
+            p = Constant(float(rng.normal() * 40.0))
+        elif kind == "polynomial":
+            p = Polynomial(tuple(rng.normal(size=int(rng.integers(1, 8))) * 40.0))
+        else:
+            p = NodalSamples(tuple(rng.normal(size=n + 1) * 20.0))
+        prob = problem(0.0, 1.0, n, p, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)))
+        A = prob.K - prob.P
+        i, bnd = np.arange(1, n), np.array([0, n])
+        T, delta = A[np.ix_(bnd, bnd)], np.empty(0)
+        if n > 1:
+            A_IB = A[np.ix_(i, bnd)]
+            T = T - A_IB.T.dot(np.linalg.solve(A[np.ix_(i, i)], A_IB))
+            T = 0.5 * (T + T.T)
+            delta = scipy.linalg.eigh(A[np.ix_(i, i)], prob.Mmass[np.ix_(i, i)])[0]
+        assert np.array_equal(boundary._schur_boundary(prob), T)
+        assert np.array_equal(dirichlet_spectrum(prob), delta)
+
+
 def test_steklov_flat_potential_boundary_matrix():
     # with p = 0 the condensed boundary operator is [[1,-1],[-1,1]] on
     # [0,1] for every mesh, so mu = {0, 2/q0} for equal weights q0
@@ -423,10 +451,63 @@ def test_weak_index_form_holds_the_assembled_matrices(monkeypatch):
     # float64 matrices are shared with the form and its space, not copied
     prob = problem(0.0, 1.0, 16, Constant(3.0))
     seen = []
-    monkeypatch.setattr(boundary, "analyze", lambda form, phis, tol: seen.append(form))
+    monkeypatch.setattr(boundary, "analyze",
+                        lambda form, phis, tol, oracle=None: seen.append(form))
     weak_index(prob)
     assert np.shares_memory(seen[0].matrix, prob.Qmat)
     assert np.shares_memory(seen[0].space.gram, prob.Mmass)
+
+
+def _oracle_case(rng, family):
+    if family == "constant":
+        n = int(rng.integers(1, 257))
+        # near the resonances p = (k pi)^2 the restricted pencil has an
+        # eigenvalue of size O(h^2) that crosses the zero band and its
+        # marginal edges as n grows
+        p = Constant(float((int(rng.integers(0, 4)) * math.pi) ** 2
+                           + rng.choice([0.0, 1e-9, -1e-9, 1e-6, -1e-6])))
+        q_a = q_b = 0.0
+    else:
+        n = int(np.exp(rng.uniform(0.0, np.log(257.0))))
+        if family == "polynomial":
+            p = Polynomial(tuple(rng.uniform(-60.0, 150.0, int(rng.integers(1, 5)))))
+        else:
+            p = NodalSamples(tuple(rng.uniform(-20.0, 120.0, n + 1)))
+        q_a, q_b = (float(x) for x in rng.uniform(0.0, 2.0, 2))
+    prob = problem(0.0, 1.0, n, p, q_a, q_b)
+    rows = []
+    for _ in range(int(rng.integers(0, 4))):
+        kind = rng.choice(["random", "dependent", "zero", "constant", "volume"])
+        if kind == "dependent" and rows:
+            rows.append(-2.5 * rows[-1] + rows[0])
+        elif kind == "zero":
+            rows.append(np.zeros(n + 1))
+        elif kind == "constant":
+            rows.append(np.ones(n + 1))
+        elif kind == "volume":
+            rows.append(volume_functional(prob).coeffs)
+        else:
+            rows.append(rng.uniform(-1.0, 1.0, n + 1))
+    if n <= 3 and rng.random() < 0.5:
+        # more independent rows than nodes: the restricted space is {0}
+        rows = list(rng.uniform(-1.0, 1.0, (n + 2, n + 1)))
+    return prob, np.array(rows).reshape(len(rows), n + 1)
+
+
+def test_interval_oracle_matches_the_dense_restriction():
+    rng = np.random.default_rng(14)
+    seen = {"marginal": 0, "zero": 0, "empty": 0, "rank_deficient": 0}
+    for case in range(300):
+        prob, F = _oracle_case(rng, ("constant", "polynomial", "nodal")[case % 3])
+        form = SymmetricForm(InnerProductSpace(prob.Mmass), prob.Qmat,
+                             prob.robin_factorization)
+        want = inertia(restrict(form, list(F)), DEFAULT)
+        assert boundary._interval_oracle(prob, F, DEFAULT) == want, (case, F.shape)
+        seen["marginal"] += want.marginal
+        seen["zero"] += want.zero > 0
+        seen["empty"] += want.dim == 0
+        seen["rank_deficient"] += want.dim > prob.n_nodes - F.shape[0]
+    assert min(seen.values()) >= 3, seen
 
 
 def test_weak_index_unknown_keyword():

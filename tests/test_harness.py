@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from morsekit import bilinear, boundary, exactla, harness
+from morsekit import bilinear, boundary, constraints, exactla, harness
 from morsekit.cli import main
 from morsekit.errors import ImpossibleCounts, ParseError, ValidationError
 from morsekit.harness import (
@@ -247,6 +247,31 @@ def test_run_pde_computes_dirichlet_spectrum_once(count_calls):
     report = run(parse_problem(json.dumps(doc)))
     assert report.verdict == "pass"
     assert len(calls) == 1
+
+
+def test_run_pde_solves_two_pencils_and_restricts_nothing(count_calls, monkeypatch):
+    # the Robin and the Dirichlet pencil; the weak index reads the kept
+    # Robin eigenvectors for its dual and counts its oracle on the
+    # tridiagonal pencil, so no form is restricted or solved again
+    eigh = count_calls(bilinear, "_eigh")
+    restrict = count_calls(bilinear, "restrict")
+    solve_dual = constraints.solve_dual
+    outcomes = []
+    monkeypatch.setattr(constraints, "solve_dual",
+                        lambda *args: outcomes.append(solve_dual(*args)) or outcomes[-1])
+    doc = {"kind": "pde", "domain": {"a": 0.0, "b": 1.0, "n_elements": 64},
+           "p": {"polynomial": [60.0, -20.0, 35.0]}, "q_a": 0.4, "q_b": 1.3,
+           "checks": ["decomposition", "weak_index"]}
+    report = run(parse_problem(json.dumps(doc)))
+    assert report.verdict == "pass"
+    assert len(eigh) == 2
+    assert restrict == []
+    prob = boundary.assemble(boundary.IntervalDomain(0.0, 1.0, 64), boundary.CoefficientSpec(
+        boundary.Polynomial((60.0, -20.0, 35.0)), 0.4, 1.3))
+    fresh = bilinear.SymmetricForm(bilinear.InnerProductSpace(prob.Mmass), prob.Qmat)
+    expected = solve_dual(fresh, boundary.volume_functional(prob))
+    assert [o.status for o in outcomes] == ["in_range"]
+    assert np.array_equal(outcomes[0].u, expected.u)
 
 
 def test_run_pde_decomposition():
