@@ -6,11 +6,17 @@ backend is inferred from the dtype and never mixed within one space.
 Sign counts on the exact backend are computed by rational congruence
 diagonalization, so they are unconditionally correct; the floating
 backend classifies eigenvalues against a zero band and reports marginal
-cases instead of hiding them.
+cases instead of hiding them.  A floating form and its gram may also be
+held as :class:`Tridiagonal` bands; such a pencil is factored by Sturm
+counts in O(n) per shift (:class:`SturmFactorization`), and no n x n
+array is formed.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -27,12 +33,92 @@ from .errors import (
 from .tolerances import DEFAULT, Tolerances, classify_spectrum, spectral_radius, zero_band
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """A symmetric tridiagonal float64 matrix held by its diagonal and its
+    first off-diagonal, so symmetric by construction.  It stands in for
+    the dense matrix wherever a form or a gram is multiplied: ``dot``
+    takes vectors and n x k blocks."""
+
+    diag: np.ndarray
+    off: np.ndarray
+
+    dtype = np.dtype(float)
+    ndim = 2
+
+    @classmethod
+    def identity(cls, n: int) -> "Tridiagonal":
+        return cls(np.ones(n), np.zeros(max(n - 1, 0)))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.diag.shape[0], self.diag.shape[0])
+
+    def dot(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        d, e = (self.diag, self.off) if x.ndim == 1 else (self.diag[:, None], self.off[:, None])
+        y = d * x
+        y[:-1] += e * x[1:]
+        y[1:] += e * x[:-1]
+        return y
+
+    def todense(self) -> np.ndarray:
+        n = self.shape[0]
+        out = np.zeros((n, n))
+        i = np.arange(n)
+        out[i, i] = self.diag
+        out[i[:-1], i[1:]] = self.off
+        out[i[1:], i[:-1]] = self.off
+        return out
+
+    def interior(self) -> "Tridiagonal":
+        """The block without the first and the last row and column."""
+        return Tridiagonal(self.diag[1:-1], self.off[1:-1])
+
+    def shifted(self, s: float, gram: "Tridiagonal") -> tuple[np.ndarray, np.ndarray]:
+        """The bands of self - s * gram."""
+        return self.diag - s * gram.diag, self.off - s * gram.off
+
+    def row_sum_norm(self) -> float:
+        """The largest absolute row sum, which bounds the spectral radius."""
+        e = np.abs(self.off)
+        rows = np.abs(self.diag)
+        rows[:-1] += e
+        rows[1:] += e
+        return float(np.max(rows, initial=0.0))
+
+
+def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of T x = rhs for the symmetric tridiagonal T with these
+    bands (LAPACK banded LU with partial pivoting); vectors or n x k
+    blocks.  Raises scipy.linalg.LinAlgError when T is exactly singular."""
+    ab = np.zeros((3, diag.shape[0]))
+    ab[0, 1:] = off
+    ab[1] = diag
+    ab[2, :-1] = off
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
+def _ldl_definite(diag: np.ndarray, off: np.ndarray) -> bool:
+    """Whether the symmetric tridiagonal matrix with these bands is
+    positive definite: every pivot of its LDL^T (LAPACK dpttrf) is."""
+    if diag.shape[0] < 2:
+        return bool(np.all(diag > 0.0))
+    return scipy.linalg.lapack.dpttrf(diag, off)[2] == 0
+
+
 def as_backend_matrix(matrix, exact: bool | None = None) -> np.ndarray:
-    """Normalize input to a square object-Fraction or float64 array.
+    """Normalize input to a square object-Fraction or float64 array; a
+    :class:`Tridiagonal` is kept as it is.
 
     Float64 input is shared, not copied: a form or space built on an array
     holds that array, which must therefore not be mutated afterwards.
     """
+    if isinstance(matrix, Tridiagonal):
+        return matrix
     arr = np.asarray(matrix)
     if exact is None:
         exact = arr.dtype == object
@@ -78,6 +164,11 @@ def _positive_definite(g: np.ndarray, tol: Tolerances) -> bool:
     above the zero band of the spectral radius."""
     if g.shape[0] == 0:
         return True
+    if isinstance(g, Tridiagonal):
+        if _ldl_definite(g.diag - _clearing_shift(g, g.row_sum_norm(), tol), g.off):
+            return True
+        fac = SturmFactorization(g, Tridiagonal.identity(g.shape[0]))
+        return fac.below(fac.band(tol)) == 0
     d = np.diagonal(g)
     if np.count_nonzero(g) == np.count_nonzero(d):
         # a diagonal gram's eigenvalues are its diagonal
@@ -103,15 +194,19 @@ def _cholesky_clears_band(g: np.ndarray, tol: Tolerances) -> bool:
     never drops below a rounding bound of order n * eps * r.  A failure
     proves nothing, and the caller falls back to the eigenvalues.
     """
-    n = g.shape[0]
-    r = float(np.linalg.norm(g, np.inf))
     shifted = g.copy()
-    shifted.flat[::n + 1] -= 2.0 * max(zero_band(r, tol), n * np.finfo(float).eps * r)
+    shifted.flat[::g.shape[0] + 1] -= _clearing_shift(g, float(np.linalg.norm(g, np.inf)), tol)
     # the transpose is the Fortran-ordered view LAPACK factors in place; its
     # upper triangle is the lower triangle eigvalsh reads
     _, info = scipy.linalg.lapack.dpotrf(shifted.T, lower=False, overwrite_a=True,
                                          clean=False)
     return info == 0
+
+
+def _clearing_shift(g, r: float, tol: Tolerances) -> float:
+    """The diagonal shift of ``_cholesky_clears_band`` for a gram whose
+    largest absolute row sum is r."""
+    return 2.0 * max(zero_band(r, tol), g.shape[0] * _EPS * r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +224,8 @@ class InnerProductSpace:
         g = as_backend_matrix(self.gram)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise NotPositiveDefinite("gram matrix must be square")
-        _check_symmetric(g, self.tol, "gram matrix")
+        if not isinstance(g, Tridiagonal):
+            _check_symmetric(g, self.tol, "gram matrix")
         if not _positive_definite(g, self.tol):
             raise NotPositiveDefinite("gram matrix is not positive definite")
         object.__setattr__(self, "gram", g)
@@ -167,7 +263,7 @@ class SymmetricForm:
 
     space: InnerProductSpace
     matrix: np.ndarray
-    factored: Factorization | None = field(default=None, repr=False)
+    factored: Factorization | SturmFactorization | None = field(default=None, repr=False)
     # set by restrict_to: the parent's spectral radius, whose band it keeps
     parent_scale: float | None = field(default=None, init=False, repr=False)
 
@@ -175,7 +271,11 @@ class SymmetricForm:
         m = as_backend_matrix(self.matrix, exact=self.space.exact)
         if m.shape != self.space.gram.shape:
             raise NonSymmetric("form matrix does not match the space dimension")
-        _check_symmetric(m, self.space.tol, "form matrix")
+        if isinstance(m, Tridiagonal) != isinstance(self.space.gram, Tridiagonal):
+            raise UnsupportedBackend("a tridiagonal form needs a tridiagonal gram, "
+                                     "and a dense one a dense gram")
+        if not isinstance(m, Tridiagonal):
+            _check_symmetric(m, self.space.tol, "form matrix")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -259,20 +359,21 @@ class Factorization:
         """The columns on which the form is negative, zero and positive."""
         w, X = self.values, self.vectors
         tau = self.band(tol)
-        return X[:, w < -tau], X[:, np.abs(w) <= tau], X[:, w > tau]
+        return X[:, w < -tau], self.kernel(tol), X[:, w > tau]
+
+    def kernel(self, tol: Tolerances) -> np.ndarray:
+        """The zero columns, which span Ker(A)."""
+        return self.vectors[:, np.abs(self.values) <= self.band(tol)]
 
     def range_cosine(self, f: np.ndarray, tol: Tolerances) -> float:
         """How far f is from range(A) = Ker(A)^perp, where the zero columns
         K span Ker(A): |Q^T f| / |f| for a Euclidean orthonormal basis Q of
         K (floating), 0 when the band is empty.  The exact backend decides
         K^T f = 0 without a measure and reports 0 or 1."""
-        K = self.split(tol)[1]
+        K = self.kernel(tol)
         if self.values.dtype == object:
             return float(np.any(K.T.dot(f)))
-        if K.shape[1] == 0:
-            return 0.0
-        # BLAS norms scale internally: f may be near the float range ends
-        return float(scipy.linalg.norm(np.linalg.qr(K)[0].T.dot(f)) / scipy.linalg.norm(f))
+        return _cosine_to(K, f)
 
     def solve(self, f: np.ndarray, tol: Tolerances) -> np.ndarray:
         """u = sum of x_i (x_i^T f) / w_i over the columns x_i outside the
@@ -283,6 +384,307 @@ class Factorization:
             return exactla.pseudo_solve(X[:, keep], w[keep], f)
         Y = X[:, keep]
         return Y.dot(Y.T.dot(f) / w[keep])
+
+
+def _cosine_to(K: np.ndarray, f: np.ndarray) -> float:
+    """|Q^T f| / |f| for a Euclidean orthonormal basis Q of the columns of
+    K; 0 when K has none."""
+    if K.shape[1] == 0:
+        return 0.0
+    # BLAS norms scale internally: f may be near the float range ends
+    return float(scipy.linalg.norm(np.linalg.qr(K)[0].T.dot(f)) / scipy.linalg.norm(f))
+
+
+def sturm_negatives(diag: np.ndarray, off: np.ndarray, border: np.ndarray | None = None) -> int:
+    """Negative pivots of the LDL^T of the symmetric tridiagonal T with
+    diagonal ``diag`` and off-diagonal ``off``, or, given a border C, of
+    [[T, C], [C^T, 0]] with the border last.  By Sylvester's law this is
+    the number of negative eigenvalues.
+
+    T is eliminated by the Sturm recurrence d_i = a_i - e_{i-1}^2 / d_{i-1}
+    (Barth-Martin-Wilkinson), with a zero pivot replaced by eps times the
+    largest entry (the smallest normal float for T = 0);
+    the same pivots carry the border, y_i = c_i - l_{i-1} y_{i-1} with
+    l_i = e_i / d_i, into the Schur complement S = -sum y_i y_i^T / d_i,
+    whose eigenvalue signs are the border's pivots.
+    """
+    if diag.shape[0] == 0:
+        return 0
+    tiny = _EPS * float(max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0)))
+    tiny = tiny or sys.float_info.min
+    squares = (off * off).tolist()
+    squares.insert(0, 0.0)
+    pivots = []
+    pivot = 1.0
+    for a, b2 in zip(diag.tolist(), squares):
+        pivot = a - b2 / pivot
+        if pivot == 0.0:
+            pivot = tiny
+        pivots.append(pivot)
+    d = np.array(pivots)
+    count = int(np.count_nonzero(d < 0.0))
+    if border is None or border.shape[1] == 0:
+        return count
+    ratios = [0.0] + (off / d[:-1]).tolist()
+    Y = np.empty_like(border)
+    for j in range(border.shape[1]):
+        y, col = 0.0, []
+        for c, ratio in zip(border[:, j].tolist(), ratios):
+            y = c - ratio * y
+            col.append(y)
+        Y[:, j] = col
+    S = -(Y / d[:, None]).T.dot(Y)
+    return count + int(np.count_nonzero(np.linalg.eigvalsh(S) < 0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class SturmFactorization:
+    """A tridiagonal pencil (matrix, gram), gram positive definite,
+    factored by counts instead of eigenpairs.
+
+    ``below(s)``, the number of pencil eigenvalues below s, is the number
+    of negative LDL^T pivots of matrix - s * gram (Sylvester's law), O(n)
+    per shift; counts are kept by shift.  It answers what
+    :class:`Factorization` answers: ``inertia`` and ``band`` from counts
+    at the band edges, eigenvalues by bisection, the kernel columns by
+    inverse iteration at the eigenvalues inside the band, and ``solve`` by
+    a banded solve.  ``scale`` is the spectral radius, by default found
+    by bisection; a clamped pencil is given its parent's.
+    """
+
+    matrix: Tridiagonal
+    gram: Tridiagonal
+    scale: float | None = None
+    counts: dict = field(default_factory=dict, init=False, repr=False)
+    kernels: dict = field(default_factory=dict, init=False, repr=False)
+    # a proven bound of the spectral radius; counts resolve 4 eps * reach
+    reach: float = field(default=0.0, init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.dim
+        if n == 0:
+            if self.scale is None:
+                object.__setattr__(self, "scale", 0.0)
+            return
+        lo, hi = self._bounds()
+        self.counts[lo], self.counts[hi] = 0, n
+        object.__setattr__(self, "reach", max(-lo, hi))
+        if self.scale is None:
+            object.__setattr__(self, "scale", self._radius(lo, hi))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def _definite(self, s: float, sign: int) -> bool:
+        """Whether sign * (matrix - s * gram) is positive definite, by a
+        LAPACK LDL^T: then no eigenvalue lies below s (sign 1), or none at
+        or above s (sign -1)."""
+        d, e = self.matrix.shifted(s, self.gram)
+        return _ldl_definite(sign * d, sign * e)
+
+    def _bounds(self) -> tuple[float, float]:
+        """(lo, hi) with every eigenvalue in (lo, hi), each end proven by
+        ``_definite``: the row-sum bound of matrix over a Gershgorin lower
+        bound of gram, doubled until it holds."""
+        floor = self.gram_floor
+        r = self.matrix.row_sum_norm() / (floor if floor > 0.0 else float(np.min(self.gram.diag)))
+        r = r if r > 0.0 else 1.0
+        ends = []
+        for sign in (1, -1):
+            bound = -sign * r
+            for _ in range(64):
+                if self._definite(bound, sign):
+                    break
+                bound *= 2.0
+            else:
+                raise EigensolverFailure("no bound of the tridiagonal pencil's spectrum")
+            ends.append(bound)
+        return ends[0], ends[1]
+
+    def _radius(self, lo: float, hi: float) -> float:
+        """The spectral radius, its largest |eigenvalue| bisected to a
+        relative 1e-13 on ``_definite``: the largest eigenvalue first, the
+        smallest only when a count shows it may be larger in magnitude.
+        The zero matrix has radius 0."""
+        if not (np.any(self.matrix.diag) or np.any(self.matrix.off)):
+            return 0.0
+        rq = self.matrix.diag / self.gram.diag
+        top = self._edge(float(np.max(rq)), hi, -1)
+        if self._definite(-abs(top), 1):
+            return abs(top)
+        return abs(self._edge(lo, min(float(np.min(rq)), -abs(top)), 1))
+
+    def _edge(self, lo: float, hi: float, sign: int) -> float:
+        """The largest (sign -1) or smallest (sign 1) eigenvalue, given an
+        interval (lo, hi) that holds it and whose far end is proven."""
+        lo, hi = min(lo, hi), max(lo, hi)
+        while hi - lo > max(1e-13 * max(abs(lo), abs(hi)), 4.0 * _EPS * self.reach):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            # sign -1: all eigenvalues below mid, so the largest is below
+            if self._definite(mid, sign) == (sign < 0):
+                hi = mid
+            else:
+                lo = mid
+        return hi if sign < 0 else lo
+
+    def below(self, s: float) -> int:
+        """The number of eigenvalues below s."""
+        count = self.counts.get(s)
+        if count is None:
+            count = self.counts[s] = sturm_negatives(*self.matrix.shifted(s, self.gram))
+        return count
+
+    def band(self, tol: Tolerances) -> float:
+        return zero_band(self.scale, tol)
+
+    def inertia(self, tol: Tolerances) -> Inertia:
+        """Counts at -+tau and the marginal flag from counts at
+        -+(1 + marginal_factor) tau: the semantics of ``classify_spectrum``
+        and ``near_band_edge``."""
+        n = self.dim
+        if self.scale == 0.0:
+            return Inertia(0, n, 0, n > 0)
+        tau = self.band(tol)
+        edge = (1.0 + tol.marginal_factor) * tau
+        neg, up = self.below(-tau), self.below(tau)
+        return Inertia(neg, up - neg, n - up, self.below(edge) - self.below(-edge) > 0)
+
+    def eigenvalue(self, j: int) -> float:
+        """Eigenvalue j in ascending order (from 0), bisected on counts to
+        4 eps * reach.  Ends far apart on one side of 0 are split at their
+        geometric mean, so an eigenvalue much smaller than the scale is
+        reached in few counts.  Once an interval (L, H) holds eigenvalue j
+        alone and the current one lies at least its own width inside it,
+        its midpoint is three times closer to eigenvalue j than to any
+        other, and Rayleigh quotient iteration (``_rayleigh``) is tried
+        from there once; the bisection goes on only if it fails."""
+        lo = max(s for s, c in self.counts.items() if c <= j)
+        hi = min(s for s, c in self.counts.items() if c > j)
+        alone, tried = None, False
+        while hi - lo > 4.0 * _EPS * self.reach:
+            if alone is None and self.counts[lo] == j and self.counts[hi] == j + 1:
+                alone = (lo, hi)
+            if (alone and not tried and lo - alone[0] >= hi - lo
+                    and alone[1] - hi >= hi - lo):
+                tried = True
+                lam = self._rayleigh(*alone, 0.5 * (lo + hi))
+                if lam is not None:
+                    return lam
+            if lo * hi > 0.0 and max(lo / hi, hi / lo) > 4.0:
+                mid = math.copysign(math.sqrt(lo * hi), lo)
+            else:
+                mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if self.below(mid) <= j:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def _rayleigh(self, lo: float, hi: float, shift: float) -> float | None:
+        """The one eigenvalue in (lo, hi), or None: two steps of inverse
+        iteration at ``shift``, which must lie closer to it than to any
+        other eigenvalue, then Rayleigh quotient iteration until the
+        quotient rho settles.  It is accepted when its residual bound
+        |A x - rho G x| / sqrt(g) (g a Gershgorin floor of the gram, x
+        gram-normalized), which some eigenvalue lies within, keeps it
+        inside (lo, hi)."""
+        if self.gram_floor <= 0.0:
+            return None
+        A, G = self.matrix, self.gram
+        x, rho = self.start, shift
+        for step in range(12):
+            y = self._solve(*A.shifted(shift if step < 2 else rho, G), G.dot(x))
+            x = y / math.sqrt(y.dot(G.dot(y)))
+            Ax = A.dot(x)
+            quotient = x.dot(Ax)
+            settled, rho = abs(quotient - rho), quotient
+            if step >= 2 and settled <= 1e-12 * self.scale:
+                bound = float(np.linalg.norm(Ax - rho * G.dot(x))) / math.sqrt(self.gram_floor)
+                return rho if lo < rho - bound and rho + bound < hi else None
+        return None
+
+    @cached_property
+    def gram_floor(self) -> float:
+        """min_i g_ii - |g_i,i-1| - |g_i,i+1|: by Gershgorin, when
+        positive, a lower bound of the gram's smallest eigenvalue."""
+        e = np.abs(self.gram.off)
+        low = self.gram.diag.copy()
+        low[:-1] -= e
+        low[1:] -= e
+        return float(np.min(low, initial=math.inf))
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        """A fixed start vector for inverse iteration."""
+        return np.random.default_rng(0).uniform(-1.0, 1.0, self.dim)
+
+    def near_zero(self) -> tuple:
+        """(the largest eigenvalue below 0, the smallest at or above 0),
+        None where the spectrum has none."""
+        k = self.below(0.0)
+        return (self.eigenvalue(k - 1) if k else None,
+                self.eigenvalue(k) if k < self.dim else None)
+
+    def kernel(self, tol: Tolerances) -> np.ndarray:
+        """Gram-orthonormal eigenvectors of the eigenvalues inside the band,
+        as columns."""
+        tau = self.band(tol)
+        K = self.kernels.get(tau)
+        if K is None:
+            cols: list[np.ndarray] = []
+            counts = self.inertia(tol)
+            for j in range(counts.negative, counts.negative + counts.zero):
+                cols.append(self._eigenvector(self.eigenvalue(j), cols))
+            K = np.stack(cols, axis=1) if cols else np.empty((self.dim, 0))
+            self.kernels[tau] = K
+        return K
+
+    def _eigenvector(self, lam: float, prev: list) -> np.ndarray:
+        """Inverse iteration at lam, gram-orthogonal to the columns prev."""
+        x = self.start
+        d, e = self.matrix.shifted(lam, self.gram)
+        for _ in range(3):
+            y = self._solve(d, e, self.gram.dot(x))
+            for q in prev:
+                y -= q * q.dot(self.gram.dot(y))
+            x = y / math.sqrt(y.dot(self.gram.dot(y)))
+        return x
+
+    def _solve(self, d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The banded solve with (d, e); a matrix so close to singular that
+        LAPACK refuses it or the solution overflows is moved off its
+        eigenvalue by eps * scale along the gram."""
+        try:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                x = solve_tridiagonal(d, e, rhs)
+            if np.all(np.isfinite(x)):
+                return x
+        except scipy.linalg.LinAlgError:
+            pass
+        nudge = _EPS * (self.scale or 1.0)
+        return solve_tridiagonal(d - nudge * self.gram.diag, e - nudge * self.gram.off, rhs)
+
+    def split(self, tol: Tolerances):
+        raise UnsupportedBackend("a tridiagonal pencil is factored by counts; only its "
+                                 "kernel columns are formed")
+
+    def range_cosine(self, f: np.ndarray, tol: Tolerances) -> float:
+        """|Q^T f| / |f| for a Euclidean orthonormal basis Q of the kernel
+        columns, 0 when the band is empty, as :class:`Factorization`."""
+        return _cosine_to(self.kernel(tol), f)
+
+    def solve(self, f: np.ndarray, tol: Tolerances) -> np.ndarray:
+        """The u of ``Factorization.solve``: with K the kernel columns, the
+        banded solve of A u = f - G K K^T f, then u - K K^T G u."""
+        K = self.kernel(tol)
+        u = self._solve(self.matrix.diag, self.matrix.off,
+                        f - self.gram.dot(K.dot(K.T.dot(f))))
+        return u - K.dot(K.T.dot(self.gram.dot(u)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,17 +735,25 @@ def nullity(form: SymmetricForm, tol: Tolerances | None = None) -> int:
 
 
 def _is_identity(g: np.ndarray) -> bool:
-    return g.dtype != object and bool(np.array_equal(g, np.eye(g.shape[0])))
+    # n nonzeros, all of them ones on the diagonal; no n x n identity is built
+    return (g.dtype != object and np.count_nonzero(g) == g.shape[0]
+            and bool(np.all(np.diagonal(g) == 1.0)))
 
 
-def factor(form: SymmetricForm, vectors: bool = True) -> Factorization:
+def factor(form: SymmetricForm, vectors: bool = True) -> Factorization | SturmFactorization:
     """The form's factorization, computed once and kept on the form: one
     ``_eigh`` on the floating backend, one congruence diagonalization on
-    the exact backend.  With ``vectors`` false a floating form is solved
-    for its eigenvalues alone, which is all its counts and zero band
-    read; a factorization without vectors is solved again when vectors
-    are asked for."""
+    the exact backend, a :class:`SturmFactorization` for a tridiagonal
+    pencil.  With ``vectors`` false a dense floating form is solved for
+    its eigenvalues alone, which is all its counts and zero band read; a
+    factorization without vectors is solved again when vectors are asked
+    for."""
     fac = form.factored
+    if isinstance(form.matrix, Tridiagonal):
+        if fac is None:
+            fac = SturmFactorization(form.matrix, form.space.gram, form.parent_scale)
+            object.__setattr__(form, "factored", fac)
+        return fac
     if fac is None or (vectors and fac.vectors is None):
         if form.exact:
             C, diag = exactla.congruence_diagonalize(form.matrix)

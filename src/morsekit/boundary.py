@@ -1,24 +1,27 @@
 """Discrete boundary index form on an interval.
 
 The quadratic form Q(u, v) = int(u'v' - p u v) - q_a u(a)v(a) - q_b u(b)v(b)
-is assembled with piecewise-linear finite elements on a uniform mesh.
-Three spectra are computed from the same matrices: the Robin pencil
-(Qmat, Mmass) whose negative count is the Morse index of Q, the clamped
-interior pencil giving the Dirichlet eigenvalues, and the two-dimensional
-boundary Schur complement playing the role of the Dirichlet-to-Neumann
-form on discrete harmonic extensions.  The headline check is the exact
-matrix identity behind the index split MI(Q) = a + b: block inertia
-additivity of Qmat partitioned into interior and boundary nodes.
+is assembled with piecewise-linear finite elements on a uniform mesh, so
+every matrix is tridiagonal and is held by its bands; the dense matrices
+are built only on request.  Three spectra come from the same bands: the
+Robin pencil (Qmat, Mmass) whose negative count is the Morse index of Q,
+the clamped interior pencil giving the Dirichlet eigenvalues, and the
+two-dimensional boundary Schur complement playing the role of the
+Dirichlet-to-Neumann form on discrete harmonic extensions.  The headline
+check is the exact matrix identity behind the index split MI(Q) = a + b:
+block inertia additivity of Qmat partitioned into interior and boundary
+nodes.
 
+Both pencils are factored by Sturm counts (``SturmFactorization``): the
+counts at the band edges, the eigenvalues nearest zero by bisection, and
+the boundary Schur complement by one banded solve, all O(n) per shift.
 The weak index, Q on the kernel of the volume functional or of explicit
-constraints, is predicted from the Robin factorization, whose kept
-eigenvectors give the dual solves.  Its oracle takes another route: the
-pencil is tridiagonal, so the counts of the restricted pencil come from
-the LDL^T recurrence of the pencil bordered by the constraints, O(n) per
-constraint and shift, instead of the dense restriction B^T A B and a
-third eigensolve.  The Robin and Dirichlet spectra stay dense eigensolves
-with vectors because they are printed, and the values-only LAPACK path
-rounds them differently.
+constraints, is predicted from the Robin factorization, whose banded
+solves give the duals.  Its oracle takes another route: the counts of the
+restricted pencil come from the LDL^T recurrence of the pencil bordered
+by the constraints, instead of a dense restriction B^T A B.
+``robin_spectrum`` and ``dirichlet_spectrum`` stay as the dense O(n^3)
+reference.
 """
 from __future__ import annotations
 
@@ -30,12 +33,15 @@ import numpy as np
 import scipy.linalg
 
 from .bilinear import (
-    Factorization,
     Inertia,
     InnerProductSpace,
+    SturmFactorization,
     SymmetricForm,
+    Tridiagonal,
     _eigh,
     float_row_split,
+    solve_tridiagonal,
+    sturm_negatives,
 )
 from .constraints import ConstrainedReport, Functional, analyze, as_functional
 from .errors import (
@@ -106,41 +112,55 @@ class CoefficientSpec:
 
 @dataclass(frozen=True, eq=False)
 class AssembledProblem:
+    """The bands of the stiffness, mass, potential and Robin matrices; the
+    dense K, Mmass, P, D and Qmat = K - P - D are built on request."""
+
     domain: IntervalDomain
     coeffs: CoefficientSpec
-    K: np.ndarray
-    Mmass: np.ndarray
-    P: np.ndarray
-    D: np.ndarray
-    Qmat: np.ndarray
+    K_band: Tridiagonal
+    M_band: Tridiagonal
+    P_band: Tridiagonal
+    Q_band: Tridiagonal
 
     @property
     def n_nodes(self) -> int:
-        return self.K.shape[0]
+        return self.K_band.shape[0]
 
     @property
-    def interior(self) -> slice:
-        """The interior nodes; a slice, so their blocks are views."""
-        return slice(1, self.n_nodes - 1)
+    def K(self) -> np.ndarray:
+        return self.K_band.todense()
 
     @property
-    def boundary(self) -> np.ndarray:
-        return np.array([0, self.n_nodes - 1])
+    def Mmass(self) -> np.ndarray:
+        return self.M_band.todense()
+
+    @property
+    def P(self) -> np.ndarray:
+        return self.P_band.todense()
+
+    @property
+    def D(self) -> np.ndarray:
+        D = np.zeros((self.n_nodes, self.n_nodes))
+        D[0, 0] = self.coeffs.q_a
+        D[-1, -1] = self.coeffs.q_b
+        return D
+
+    @property
+    def Qmat(self) -> np.ndarray:
+        return self.Q_band.todense()
 
     @cached_property
-    def robin_factorization(self) -> Factorization:
-        """The Robin pencil (Qmat, Mmass) solved once, eigenvalues and
-        eigenvectors, for both the index split and the weak index, whose
-        dual solves read the eigenvectors.  Solved with vectors in any
-        case: the values-only LAPACK path rounds differently (2e-8 apart at
-        n = 1024 on a spectrum of radius 1e7), and these eigenvalues are
-        printed in the spectrum report."""
-        return Factorization(*_eigh(self.Qmat, self.Mmass))
+    def robin_factorization(self) -> SturmFactorization:
+        """The Robin pencil (Qmat, Mmass), factored once for the index
+        split and the weak index."""
+        return SturmFactorization(self.Q_band, self.M_band)
 
-    @property
-    def robin(self) -> np.ndarray:
-        """Eigenvalues of the Robin pencil, ascending."""
-        return self.robin_factorization.values
+    @cached_property
+    def dirichlet_factorization(self) -> SturmFactorization:
+        """The clamped pencil: the interior bands, whose Qmat block is that
+        of K - P since D vanishes there, in the Robin pencil's band."""
+        return SturmFactorization(self.Q_band.interior(), self.M_band.interior(),
+                                  self.robin_factorization.scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +175,13 @@ class SteklovResult:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    robin: np.ndarray
-    dirichlet: np.ndarray
+    """The index split; ``*_near_zero`` are each pencil's largest
+    eigenvalue below 0 and smallest at or above 0 (None where there is
+    none), ``scale`` the Robin spectral radius that sets the zero band."""
+
+    robin_near_zero: tuple
+    dirichlet_near_zero: tuple
+    scale: float
     steklov: tuple
     a: int
     b: int
@@ -192,75 +217,73 @@ def _potential_values(p, x: np.ndarray, domain: IntervalDomain) -> np.ndarray:
 
 
 def assemble(domain: IntervalDomain, coeffs: CoefficientSpec) -> AssembledProblem:
-    """Assembly of stiffness, mass, potential, and boundary matrices;
-    Qmat = K - P - D.
+    """Assembly of the stiffness, mass, potential, and Robin bands;
+    Qmat = K - P - D, with D the boundary weights on the two end nodes.
 
     The potential integral uses 2-point Gauss per element, exact for
     constant and linear p against the piecewise-linear product basis.
-    All elements are evaluated at once; each entry sums at most two
-    element contributions, so the result is bitwise that of adding the
-    element blocks one by one.
+    All elements are evaluated at once; each diagonal entry sums at most
+    two element contributions, first the element on its right, so the
+    bands are bitwise those of adding the element blocks one by one.
     """
     n = domain.n_elements
     h = domain.h
     left = domain.nodes[:-1]
-    size = n + 1
-    k_el = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    m_el = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-    p_el = np.zeros((n, 2, 2))
+    p_diag = np.zeros((n, 2))
+    p_off = np.zeros(n)
     for xi in _GAUSS_XI:
-        pval = _potential_values(coeffs.p, left + xi * h, domain)
-        shape = np.array([1.0 - xi, xi])
-        p_el += ((h / 2.0) * pval)[:, None, None] * np.outer(shape, shape)
-    D = np.zeros((size, size))
-    D[0, 0] = coeffs.q_a
-    D[-1, -1] = coeffs.q_b
-    K = _scatter(np.broadcast_to(k_el, (n, 2, 2)), size)
-    M = _scatter(np.broadcast_to(m_el, (n, 2, 2)), size)
-    P = _scatter(p_el, size)
-    return AssembledProblem(domain, coeffs, K=K, Mmass=M, P=P, D=D,
-                            Qmat=K - P - D)
+        pval = (h / 2.0) * _potential_values(coeffs.p, left + xi * h, domain)
+        p_diag += pval[:, None] * np.array([(1.0 - xi) * (1.0 - xi), xi * xi])
+        p_off += pval * ((1.0 - xi) * xi)
+    K = _banded(np.full(n, 1.0 / h), np.full(n, 1.0 / h), np.full(n, -1.0 / h))
+    m_el = h / 6.0
+    M = _banded(np.full(n, m_el * 2.0), np.full(n, m_el * 2.0), np.full(n, m_el))
+    P = _banded(p_diag[:, 0], p_diag[:, 1], p_off)
+    d = np.zeros(n + 1)
+    d[0] = coeffs.q_a
+    d[-1] = coeffs.q_b
+    Q = Tridiagonal(K.diag - P.diag - d, K.off - P.off)
+    return AssembledProblem(domain, coeffs, K_band=K, M_band=M, P_band=P, Q_band=Q)
 
 
-def _scatter(blocks: np.ndarray, size: int) -> np.ndarray:
-    """The sum of the 2x2 element blocks[e] placed on nodes e and e + 1."""
-    out = np.zeros((size, size))
-    e = np.arange(blocks.shape[0])
-    for i in (0, 1):
-        for j in (0, 1):
-            out[e + i, e + j] += blocks[:, i, j]
-    return out
+def _banded(left: np.ndarray, right: np.ndarray, off: np.ndarray) -> Tridiagonal:
+    """The sum of the symmetric 2x2 element blocks [[left[e], off[e]],
+    [off[e], right[e]]] placed on nodes e and e + 1."""
+    diag = np.zeros(left.shape[0] + 1)
+    diag[:-1] += left
+    diag[1:] += right
+    return Tridiagonal(diag, off)
 
 
 def robin_spectrum(problem: AssembledProblem) -> np.ndarray:
-    """Eigenvalues of Qmat x = lambda Mmass x, ascending; the count below
-    the zero band is the Morse index of the discrete form."""
-    return problem.robin
+    """Eigenvalues of Qmat x = lambda Mmass x, ascending, by a dense
+    eigensolve: the O(n^3) reference for the Robin factorization, whose
+    count below the zero band is the Morse index of the discrete form."""
+    return _eigh(problem.Qmat, problem.Mmass, vectors=False)[0]
 
 
 def dirichlet_spectrum(problem: AssembledProblem) -> np.ndarray:
-    """Eigenvalues of the clamped problem: interior block of K - P against
-    the interior mass block: the Robin pencil on the interior nodes.
-    Solved with vectors, as the Robin pencil is, because the values-only
-    LAPACK path rounds differently and these eigenvalues are printed."""
-    # D vanishes off the two boundary diagonal entries, so this block of
-    # Qmat = K - P - D is bitwise that of K - P; the blocks are views, which
-    # LAPACK copies once, and no n x n K - P is built
-    i = problem.interior
-    return _eigh(problem.Qmat[i, i], problem.Mmass[i, i])[0]
+    """Eigenvalues of the clamped problem, the interior block of K - P
+    against the interior mass block, by a dense eigensolve: the O(n^3)
+    reference for the Dirichlet factorization."""
+    i = slice(1, problem.n_nodes - 1)
+    return _eigh(problem.Qmat[i, i], problem.Mmass[i, i], vectors=False)[0]
 
 
 def _schur_boundary(problem: AssembledProblem) -> np.ndarray:
     """Boundary Schur complement T of A = K - P, the discrete
     Dirichlet-to-Neumann form on harmonic extensions."""
-    bnd = problem.boundary
-    A_BB = problem.K[np.ix_(bnd, bnd)] - problem.P[np.ix_(bnd, bnd)]
+    K, P = problem.K_band, problem.P_band
     if problem.n_nodes == 2:
-        return A_BB
-    # the interior rows of Qmat are those of K - P, as in dirichlet_spectrum
-    i = problem.interior
-    A_IB = problem.Qmat[i][:, bnd]
-    T = A_BB - A_IB.T.dot(np.linalg.solve(problem.Qmat[i, i], A_IB))
+        return K.todense() - P.todense()
+    # node 0 couples only to node 1 and node n only to node n - 1, through
+    # the off-diagonals of Qmat, which are those of K - P
+    e = problem.Q_band.off
+    interior = problem.Q_band.interior()
+    A_IB = np.zeros((problem.n_nodes - 2, 2))
+    A_IB[0, 0], A_IB[-1, 1] = e[0], e[-1]
+    X = solve_tridiagonal(interior.diag, interior.off, A_IB)
+    T = np.diag([K.diag[0] - P.diag[0], K.diag[-1] - P.diag[-1]]) - A_IB.T.dot(X)
     return 0.5 * (T + T.T)
 
 
@@ -273,18 +296,17 @@ def steklov_spectrum(problem: AssembledProblem,
     b is always the negative inertia of T - D_B; when both weights are
     positive this equals the number of pencil eigenvalues below 1.
     """
-    return _steklov(problem, dirichlet_spectrum(problem),
-                    spectral_radius(problem.robin), tol)
+    return _steklov(problem, problem.dirichlet_factorization.inertia(tol), tol)
 
 
-def _steklov(problem: AssembledProblem, delta: np.ndarray, scale: float,
+def _steklov(problem: AssembledProblem, clamped: Inertia,
              tol: Tolerances) -> SteklovResult:
-    """steklov_spectrum given the Dirichlet eigenvalues delta, in the band
-    of the Robin pencil's spectral radius ``scale``."""
+    """steklov_spectrum given the clamped pencil's inertia in the band of
+    the Robin pencil."""
     q_a, q_b = problem.coeffs.q_a, problem.coeffs.q_b
     if q_a + q_b <= 0:
         raise ZeroBoundaryWeight("both boundary weights vanish")
-    if delta.size and np.min(np.abs(delta)) <= zero_band(scale, tol):
+    if clamped.zero:
         raise DegenerateDirichletKernel(
             "a Dirichlet eigenvalue sits in the zero band; the boundary "
             "reduction is singular at this potential")
@@ -319,42 +341,39 @@ def verify_decomposition(problem: AssembledProblem,
     partition of Qmat into interior and boundary nodes, so away from
     marginal eigenvalues the equality is exact.
     """
-    # the clamped pencil is solved first, while the n x n Robin eigenvectors
-    # that the weak index reads are not yet held: a pde op's peak memory is
-    # then one dense eigensolve's, not one plus those eigenvectors
-    delta = dirichlet_spectrum(problem)
-    lam = robin_spectrum(problem)
-    scale = spectral_radius(lam)
-    mi_neg, _, _, robin_marginal = classify_spectrum(lam, tol)
-    d_neg, d_zero, _, dirichlet_marginal = classify_spectrum(delta, tol, scale)
-    a = d_neg + d_zero
-    stek = _steklov(problem, delta, scale, tol)
-    degenerate = robin_marginal or dirichlet_marginal or stek.marginal
+    robin = problem.robin_factorization
+    clamped = problem.dirichlet_factorization
+    full = robin.inertia(tol)
+    d = clamped.inertia(tol)
+    a = d.negative + d.zero
+    stek = _steklov(problem, d, tol)
     return SpectrumReport(
-        robin=lam,
-        dirichlet=delta,
+        robin_near_zero=robin.near_zero(),
+        dirichlet_near_zero=clamped.near_zero(),
+        scale=robin.scale,
         steklov=stek.mu,
         a=a,
         b=stek.b,
-        mi_q=mi_neg,
-        decomposition_ok=(mi_neg == a + stek.b),
-        degenerate=degenerate,
+        mi_q=full.negative,
+        decomposition_ok=(full.negative == a + stek.b),
+        degenerate=full.marginal or d.marginal or stek.marginal,
     )
 
 
 def volume_functional(problem: AssembledProblem) -> Functional:
     """Discrete integral functional phi(v) = 1^T Mmass v."""
-    return Functional(problem.Mmass.dot(np.ones(problem.n_nodes)))
+    return Functional(problem.M_band.dot(np.ones(problem.n_nodes)))
 
 
 def weak_index(problem: AssembledProblem, constraint="volume",
                tol: Tolerances = DEFAULT) -> ConstrainedReport:
     """Morse index of Q restricted to mean-zero variations, or to the joint
     kernel of one functional or a list of them, predicted and
-    oracle-checked.  The full-form counts and the dual solves read the
-    Robin factorization; the oracle is counted on the tridiagonal pencil
-    by :func:`_interval_oracle`."""
-    form = SymmetricForm(InnerProductSpace(problem.Mmass, tol), problem.Qmat,
+    oracle-checked.  The form holds the Robin bands and their cached
+    factorization, which gives the full-form counts and the banded dual
+    solves; the oracle is counted on the bordered pencil by
+    :func:`_interval_oracle`."""
+    form = SymmetricForm(InnerProductSpace(problem.M_band, tol), problem.Q_band,
                          problem.robin_factorization)
     if isinstance(constraint, str):
         if constraint != "volume":
@@ -379,7 +398,7 @@ def _interval_oracle(problem: AssembledProblem, F: np.ndarray,
     restricts to.  By Haynsworth's inertia additivity the bordered matrix
     [[Q - s M, C], [C^T, 0]] has r + #(lambda < s) negative eigenvalues,
     lambda running over the constrained pencil, and its LDL^T with the
-    border last counts them (``_bordered_negatives``).  Counts below
+    border last counts them (``sturm_negatives``).  Counts below
     +-tau and +-(1 + marginal_factor) tau, tau the Robin pencil's zero
     band, give the semantics of ``classify_spectrum`` and
     ``near_band_edge``.
@@ -390,50 +409,13 @@ def _interval_oracle(problem: AssembledProblem, F: np.ndarray,
     if dim == 0:
         return Inertia(0, 0, 0)
     tau = problem.robin_factorization.band(tol)
-    a, e = np.diagonal(problem.Qmat), np.diagonal(problem.Qmat, 1)
-    m, mo = np.diagonal(problem.Mmass), np.diagonal(problem.Mmass, 1)
 
     def below(s: float) -> int:
-        return _bordered_negatives(a - s * m, e - s * mo, C) - r
+        return sturm_negatives(*problem.Q_band.shifted(s, problem.M_band), C) - r
 
     edge = (1.0 + tol.marginal_factor) * tau
     neg, up = below(-tau), below(tau)
     return Inertia(neg, up - neg, dim - up, below(edge) - below(-edge) > 0)
-
-
-def _bordered_negatives(diag: np.ndarray, off: np.ndarray, C: np.ndarray) -> int:
-    """Negative pivots of the LDL^T of [[T, C], [C^T, 0]], T the symmetric
-    tridiagonal matrix with diagonal ``diag`` and off-diagonal ``off``.
-
-    T is eliminated first by the Sturm recurrence d_i = a_i - e_{i-1}^2 /
-    d_{i-1} (Barth-Martin-Wilkinson), with a zero pivot replaced by
-    eps * max |a|; the same pivots carry the border, y_i = c_i - l_{i-1}
-    y_{i-1} with l_i = e_i / d_i, into the Schur complement
-    S = -sum y_i y_i^T / d_i, whose eigenvalue signs are the border's
-    pivots.
-    """
-    tiny = np.finfo(float).eps * float(np.max(np.abs(diag)))
-    pivots = []
-    pivot = 1.0
-    for a, b in zip(diag.tolist(), [0.0] + off.tolist()):
-        pivot = a - b * b / pivot
-        if pivot == 0.0:
-            pivot = tiny
-        pivots.append(pivot)
-    d = np.array(pivots)
-    count = int(np.count_nonzero(d < 0.0))
-    if C.shape[1] == 0:
-        return count
-    ratios = [0.0] + (off / d[:-1]).tolist()
-    Y = np.empty_like(C)
-    for j in range(C.shape[1]):
-        y, col = 0.0, []
-        for c, ratio in zip(C[:, j].tolist(), ratios):
-            y = c - ratio * y
-            col.append(y)
-        Y[:, j] = col
-    S = -(Y / d[:, None]).T.dot(Y)
-    return count + int(np.count_nonzero(np.linalg.eigvalsh(S) < 0.0))
 
 
 def refine_and_check(problem: AssembledProblem, levels,
@@ -463,14 +445,11 @@ def refine_and_check(problem: AssembledProblem, levels,
             coeffs_n = CoefficientSpec(NodalSamples(tuple(resampled)),
                                        coeffs.q_a, coeffs.q_b)
         prob_n = assemble(domain_n, coeffs_n)
-        lam = robin_spectrum(prob_n)
-        neg, _, _, lam_marg = classify_spectrum(lam, tol)
-        mi_list.append(neg)
-        lam1.append(float(lam[np.argmin(np.abs(lam))]))
-        delta = dirichlet_spectrum(prob_n)
-        del1.append(float(delta[np.argmin(np.abs(delta))]) if delta.size
-                    else float("nan"))
-        if lam_marg:
+        robin = prob_n.robin_factorization.inertia(tol)
+        mi_list.append(robin.negative)
+        lam1.append(_nearest(prob_n.robin_factorization.near_zero()))
+        del1.append(_nearest(prob_n.dirichlet_factorization.near_zero()))
+        if robin.marginal:
             warnings.append(f"n={n}: marginal Robin spectrum")
         if has_q:
             try:
@@ -517,6 +496,13 @@ def refine_and_check(problem: AssembledProblem, levels,
         drift=drift,
         warnings=tuple(warnings),
     )
+
+
+def _nearest(pair: tuple) -> float:
+    """The eigenvalue of a near-zero pair closer to 0, the lower one on a
+    tie; nan for an empty spectrum."""
+    values = [v for v in pair if v is not None]
+    return min(values, key=abs) if values else float("nan")
 
 
 def _limit_unresolved(values: list) -> bool:

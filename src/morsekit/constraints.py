@@ -173,7 +173,7 @@ def solve_dual(form: SymmetricForm, phi,
         u = fac.solve(f, tol)
         return SolveOutcome("in_range", u=u, phi_of_u=f.dot(u), residual=cosine,
                             warnings=warnings)
-    K = fac.split(tol)[1]
+    K = fac.kernel(tol)
     if form.exact:
         z = K.dot(exactla.solve_general(exactla.congruence(form.space.gram, K), K.T.dot(f)))
     else:

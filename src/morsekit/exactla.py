@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Integral
 from operator import mul
 
 import numpy as np
@@ -23,8 +24,21 @@ import numpy as np
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Fractions are immutable, so a Fraction entry is shared, not rebuilt
-_to_fraction = np.frompyfunc(lambda x: x if type(x) is Fraction else Fraction(x), 1, 1)
+
+def _fraction(x) -> Fraction:
+    """x as a Fraction of Python ints.  A Fraction of ints is immutable and
+    shared, not rebuilt; numpy integers, and Fractions built on them,
+    would eliminate in overflowing int64 arithmetic, so they become ints."""
+    if type(x) is Fraction:
+        if type(x.numerator) is int and type(x.denominator) is int:
+            return x
+        return Fraction(int(x.numerator), int(x.denominator))
+    if type(x) is not int and isinstance(x, Integral):
+        x = int(x)
+    return Fraction(x)
+
+
+_to_fraction = np.frompyfunc(_fraction, 1, 1)
 
 
 def frac_matrix(rows) -> np.ndarray:

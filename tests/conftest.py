@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from morsekit.bilinear import SturmFactorization
+
 
 @pytest.fixture
 def count_calls(monkeypatch):
@@ -23,3 +25,18 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def factorization_sizes(monkeypatch):
+    """The list the dimension of every Sturm factorization built during
+    the test is appended to."""
+    sizes = []
+    init = SturmFactorization.__post_init__
+
+    def counted(self):
+        sizes.append(self.dim)
+        init(self)
+
+    monkeypatch.setattr(SturmFactorization, "__post_init__", counted)
+    return sizes

@@ -6,8 +6,13 @@ from fractions import Fraction
 
 from morsekit import exactla
 from morsekit.bilinear import (
+    Factorization,
     InnerProductSpace,
+    SturmFactorization,
     SymmetricForm,
+    Tridiagonal,
+    _eigh,
+    factor,
     fundamental_decomposition,
     inertia,
     kernel_intersection,
@@ -487,3 +492,102 @@ def test_restrict_carries_gram():
     res = restrict(form, [exactla.frac_vector([0, 1])])
     assert res.space.gram[0, 0] == 2
     assert inertia(res).counts == (1, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# tridiagonal forms
+
+def _tridiagonal(rng, n, shift=0.0):
+    return Tridiagonal(rng.normal(size=n) + shift, rng.normal(size=max(n - 1, 0)))
+
+
+def _with_smallest(T, smallest):
+    # T shifted so that its smallest eigenvalue is `smallest` times its
+    # spectral radius, up to rounding
+    w = np.linalg.eigvalsh(T.todense())
+    shift = w[0] - smallest * (w[-1] - w[0]) / (1.0 - smallest)
+    return Tridiagonal(T.diag - shift, T.off)
+
+
+def test_tridiagonal_dot_is_the_dense_product():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 7, 40):
+        T = _tridiagonal(rng, n)
+        dense = T.todense()
+        assert np.array_equal(dense, dense.T)
+        assert np.array_equal(np.diagonal(dense), T.diag)
+        assert np.array_equal(np.diagonal(dense, 1), T.off)
+        for x in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            assert np.allclose(T.dot(x), dense @ x, rtol=1e-14, atol=1e-14)
+
+
+def test_tridiagonal_gram_check_decides_as_the_eigenvalue_rule(monkeypatch):
+    # LAPACK's LDL^T of the shifted gram proves most grams; a Sturm count
+    # below the zero band decides the rest, and no eigensolve runs
+    rng = np.random.default_rng(22)
+    grams = []
+    for n in (2, 5, 17, 60):
+        T = _tridiagonal(rng, n)
+        for smallest in np.concatenate([np.logspace(-11, -7, 32), [0.0, -1e-9, -0.5]]):
+            grams.append(_with_smallest(T, smallest))
+    want = [_eigenvalue_rule(g.todense()) for g in grams]
+
+    def refuse(*_):
+        raise AssertionError("a dense eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert [_accepted(g) for g in grams] == want
+    assert 0 < sum(want) < len(want)
+
+
+def test_tridiagonal_form_needs_a_tridiagonal_gram():
+    T = Tridiagonal(np.array([2.0, -1.0, 3.0]), np.array([0.5, 0.25]))
+    with pytest.raises(UnsupportedBackend):
+        SymmetricForm(InnerProductSpace(np.eye(3)), T)
+    with pytest.raises(UnsupportedBackend):
+        SymmetricForm(InnerProductSpace(Tridiagonal.identity(3)), T.todense())
+    form = SymmetricForm(InnerProductSpace(Tridiagonal.identity(3)), T)
+    assert inertia(form).counts == inertia(float_form(T.todense())).counts
+
+
+def test_sturm_factorization_matches_the_dense_one():
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        n = int(rng.integers(1, 30))
+        A = _tridiagonal(rng, n)
+        G = Tridiagonal(rng.uniform(2.0, 3.0, n), rng.uniform(-0.5, 0.5, max(n - 1, 0)))
+        if trial % 3 == 0:
+            # an eigenvalue inside the band: A - lambda G is singular
+            lam = _eigh(A.todense(), G.todense(), vectors=False)[0][n // 2]
+            A = Tridiagonal(*A.shifted(lam, G))
+        form = SymmetricForm(InnerProductSpace(G), A)
+        sturm = factor(form)
+        dense = Factorization(*_eigh(A.todense(), G.todense()))
+        assert isinstance(sturm, SturmFactorization)
+        assert abs(sturm.scale - dense.scale) <= 1e-12 * dense.scale
+        assert sturm.inertia(DEFAULT) == dense.inertia(DEFAULT)
+        w = dense.values
+        for j in range(n):
+            assert abs(sturm.eigenvalue(j) - w[j]) <= 1e-12 * dense.scale
+        K, f = sturm.kernel(DEFAULT), rng.normal(size=n)
+        assert K.shape[1] == dense.kernel(DEFAULT).shape[1]
+        assert np.allclose(K.T @ G.dot(K), np.eye(K.shape[1]), atol=1e-10)
+        assert abs(sturm.range_cosine(f, DEFAULT) - dense.range_cosine(f, DEFAULT)) <= 1e-8
+        u, v = sturm.solve(f, DEFAULT), dense.solve(f, DEFAULT)
+        # the zero form's dual is 0 on both sides, up to rounding
+        assert np.linalg.norm(u - v) <= 1e-8 * np.linalg.norm(v) + 1e-12 * np.linalg.norm(f)
+
+
+def test_tridiagonal_restriction_is_the_dense_one():
+    rng = np.random.default_rng(24)
+    T = _tridiagonal(rng, 12)
+    G = Tridiagonal(rng.uniform(2.0, 3.0, 12), rng.uniform(-0.5, 0.5, 11))
+    tri = SymmetricForm(InnerProductSpace(G), T)
+    dense = SymmetricForm(InnerProductSpace(G.todense()), T.todense())
+    rows = list(rng.normal(size=(3, 12)))
+    a, b = restrict(tri, rows), restrict(dense, rows)
+    assert np.allclose(a.matrix, b.matrix, atol=1e-12)
+    assert np.allclose(a.space.gram, b.space.gram, atol=1e-12)
+    assert inertia(a) == inertia(b)
+    with pytest.raises(UnsupportedBackend):
+        fundamental_decomposition(tri)

@@ -1,13 +1,24 @@
 """Discretized interval problems: assembly, spectra, the boundary index
 split, mean-zero weak index, mesh refinement stability."""
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from morsekit import boundary
-from morsekit.bilinear import InnerProductSpace, SymmetricForm, inertia, restrict
+from morsekit import boundary, harness
+from morsekit.bilinear import (
+    Factorization,
+    Inertia,
+    InnerProductSpace,
+    SymmetricForm,
+    _eigh,
+    inertia,
+    restrict,
+)
+from morsekit.constraints import analyze, solve_dual
 from morsekit.boundary import (
     _GAUSS_XI,
     AssembledProblem,
@@ -31,7 +42,7 @@ from morsekit.errors import (
     InvalidCoefficients,
     ZeroBoundaryWeight,
 )
-from morsekit.tolerances import DEFAULT
+from morsekit.tolerances import DEFAULT, classify_spectrum
 
 
 def problem(a, b, n, p, q_a=0.0, q_b=0.0):
@@ -198,6 +209,22 @@ def test_assembly_is_bitwise_the_element_loop(kind):
             assert mine.tobytes() == ref.tobytes()
 
 
+def test_bands_are_bitwise_the_diagonals_of_the_element_loop():
+    rng = np.random.default_rng(7)
+    for n in [1, 2, 3, 64, 300] + [int(x) for x in rng.integers(1, 301, 8)]:
+        p = (Constant(float(rng.normal() * 10.0)),
+             Polynomial(tuple(rng.normal(size=int(rng.integers(1, 8))) * 40.0)),
+             NodalSamples(tuple(rng.normal(size=n + 1) * 5.0)))[n % 3]
+        dom = IntervalDomain(0.0, float(rng.uniform(0.1, 5.0)), n)
+        coeffs = CoefficientSpec(p, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)))
+        prob = assemble(dom, coeffs)
+        K, M, P, _, Q = _element_loop_assembly(dom, coeffs)
+        for band, dense in ((prob.K_band, K), (prob.M_band, M), (prob.P_band, P),
+                            (prob.Q_band, Q)):
+            assert band.diag.tobytes() == np.diagonal(dense).tobytes()
+            assert band.off.tobytes() == np.diagonal(dense, 1).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -260,8 +287,9 @@ def test_dirichlet_convergence_is_second_order():
 
 @pytest.mark.parametrize("kind", ["constant", "polynomial", "nodal"])
 def test_clamped_blocks_are_bitwise_those_of_k_minus_p(kind):
-    # the Dirichlet pencil and the Schur complement T read Qmat's interior
-    # rows; the reference builds the n x n K - P
+    # the clamped pencil and the Schur complement T read Qmat's interior
+    # bands, which are bitwise those of the n x n K - P the reference
+    # builds; T comes from a banded solve, so it agrees to rounding
     rng = np.random.default_rng({"constant": 4, "polynomial": 5, "nodal": 6}[kind])
     for n in [1, 2, 3, 7, 64, 181] + [int(x) for x in rng.integers(1, 301, 8)]:
         if kind == "constant":
@@ -278,8 +306,16 @@ def test_clamped_blocks_are_bitwise_those_of_k_minus_p(kind):
             A_IB = A[np.ix_(i, bnd)]
             T = T - A_IB.T.dot(np.linalg.solve(A[np.ix_(i, i)], A_IB))
             T = 0.5 * (T + T.T)
-            delta = scipy.linalg.eigh(A[np.ix_(i, i)], prob.Mmass[np.ix_(i, i)])[0]
-        assert np.array_equal(boundary._schur_boundary(prob), T)
+            delta = scipy.linalg.eigh(A[np.ix_(i, i)], prob.Mmass[np.ix_(i, i)],
+                                      eigvals_only=True)
+        clamped = prob.dirichlet_factorization
+        assert clamped.matrix.diag.tobytes() == np.diagonal(A)[1:-1].tobytes()
+        assert clamped.matrix.off.tobytes() == np.diagonal(A, 1)[1:-1].tobytes()
+        assert clamped.gram.diag.tobytes() == np.diagonal(prob.Mmass)[1:-1].tobytes()
+        assert clamped.gram.off.tobytes() == np.diagonal(prob.Mmass, 1)[1:-1].tobytes()
+        mine = boundary._schur_boundary(prob)
+        assert np.max(np.abs(mine - T)) <= 1e-10 * np.max(np.abs(T))
+        assert np.array_equal(mine, mine.T)
         assert np.array_equal(dirichlet_spectrum(prob), delta)
 
 
@@ -448,14 +484,16 @@ def test_weak_index_custom_functional():
 
 
 def test_weak_index_form_holds_the_assembled_matrices(monkeypatch):
-    # float64 matrices are shared with the form and its space, not copied
+    # the form and its space hold the problem's bands and its cached
+    # Robin factorization, not copies
     prob = problem(0.0, 1.0, 16, Constant(3.0))
     seen = []
     monkeypatch.setattr(boundary, "analyze",
                         lambda form, phis, tol, oracle=None: seen.append(form))
     weak_index(prob)
-    assert np.shares_memory(seen[0].matrix, prob.Qmat)
-    assert np.shares_memory(seen[0].space.gram, prob.Mmass)
+    assert seen[0].matrix is prob.Q_band
+    assert seen[0].space.gram is prob.M_band
+    assert seen[0].factored is prob.robin_factorization
 
 
 def _oracle_case(rng, family):
@@ -510,6 +548,107 @@ def test_interval_oracle_matches_the_dense_restriction():
     assert min(seen.values()) >= 3, seen
 
 
+def _near_zero_agrees(pair, w, scale):
+    # the pair from Sturm counts against the dense eigenvalues w; an
+    # eigenvalue within rounding of 0 may land on either side of it
+    close = 1e-12 * scale
+    k = int(np.sum(w < 0.0))
+    if w.size and np.min(np.abs(w)) <= close:
+        return all(v is None or np.min(np.abs(w - v)) <= close for v in pair)
+    want = (w[k - 1] if k else None, w[k] if k < w.size else None)
+    return all((v is None and u is None) or (v is not None and u is not None
+                                             and abs(v - u) <= close)
+               for v, u in zip(pair, want))
+
+
+def _dense_reference(prob):
+    """The Robin factorization and the clamped eigenvalues by dense
+    eigensolves."""
+    return Factorization(*_eigh(prob.Qmat, prob.Mmass)), dirichlet_spectrum(prob)
+
+
+def test_sturm_path_matches_the_dense_reference():
+    rng = np.random.default_rng(17)
+    seen = {"band": 0, "flip": 0, "duals": 0}
+    for case in range(300):
+        prob, F = _oracle_case(rng, ("constant", "polynomial", "nodal")[case % 3])
+        robin, delta = _dense_reference(prob)
+        w, scale, tau = robin.values, robin.scale, robin.band(DEFAULT)
+        sturm, clamped = prob.robin_factorization, prob.dirichlet_factorization
+        assert abs(sturm.scale - scale) <= 1e-12 * scale, case
+        assert sturm.inertia(DEFAULT) == robin.inertia(DEFAULT), case
+        assert clamped.inertia(DEFAULT) == Inertia(*classify_spectrum(delta, DEFAULT, scale)), case
+        assert _near_zero_agrees(sturm.near_zero(), w, scale), case
+        assert _near_zero_agrees(clamped.near_zero(), delta, scale), case
+        seen["band"] += sturm.kernel(DEFAULT).shape[1] > 0
+        seen["flip"] += bool(w.size and np.min(np.abs(w)) <= 1e-12 * scale)
+        # the same analysis on the dense form, with its dense oracle
+        dense = SymmetricForm(InnerProductSpace(prob.Mmass), prob.Qmat)
+        want, got = analyze(dense, list(F)), weak_index(prob, list(F))
+        for name in ("mi_full", "nullity_full", "mi_constrained_oracle",
+                     "nullity_constrained_oracle", "mi_constrained_predicted",
+                     "nullity_constrained_predicted", "s_critical", "agreement",
+                     "warnings"):
+            assert getattr(got, name) == getattr(want, name), (case, name)
+        # a dual is as accurate as the pencil's conditioning allows on both
+        # sides: eps * scale over the eigenvalue nearest zero outside the band
+        outside = np.abs(w[np.abs(w) > tau])
+        slack = 1e-8 + 10.0 * np.finfo(float).eps * scale / np.min(outside, initial=scale)
+        tri = SymmetricForm(InnerProductSpace(prob.M_band), prob.Q_band, sturm)
+        for f in F:
+            if not np.any(f):
+                continue
+            a, b = solve_dual(dense, f), solve_dual(tri, f)
+            assert a.status == b.status, case
+            x, y = (a.u, b.u) if a.in_range else (a.kernel_component, b.kernel_component)
+            assert np.linalg.norm(x - y) <= slack * np.linalg.norm(x), case
+            seen["duals"] += 1
+    assert seen["band"] >= 3 and seen["duals"] >= 100, seen
+    # exact zeros (the Neumann constants at p = 0) are hit, and their side of
+    # 0 is rounding on both routes
+    assert seen["flip"] >= 1, seen
+
+
+@pytest.mark.parametrize("n, coeffs", [
+    (1024, (28.673, 6.499, -21.489, -40.079)),
+    (1024, (141.2, -55.0, 31.7, 12.9, -48.3, 20.1, -3.3)),
+    (2048, (60.0, -20.0, 35.0)),
+])
+def test_ladder_factorizations_match_the_dense_reference(n, coeffs):
+    prob = problem(0.0, 1.0, n, Polynomial(coeffs), 0.505, 0.609)
+    robin, delta = _dense_reference(prob)
+    sturm, clamped = prob.robin_factorization, prob.dirichlet_factorization
+    assert abs(sturm.scale - robin.scale) <= 1e-12 * robin.scale
+    assert sturm.inertia(DEFAULT) == robin.inertia(DEFAULT)
+    assert clamped.inertia(DEFAULT) == Inertia(*classify_spectrum(delta, DEFAULT, robin.scale))
+    assert _near_zero_agrees(sturm.near_zero(), robin.values, robin.scale)
+    assert _near_zero_agrees(clamped.near_zero(), delta, robin.scale)
+
+
+def test_pde_op_runs_no_dense_work(monkeypatch):
+    # no dense eigensolve, and no n x n array: one float64 1025 x 1025
+    # matrix alone is 8 MiB
+    def refuse(*_, **__):
+        raise AssertionError("a dense eigensolve ran")
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("morsekit") and getattr(mod, "_eigh", None) is _eigh:
+            monkeypatch.setattr(mod, "_eigh", refuse)
+    text = ('{"kind": "pde", "domain": {"a": 0.0, "b": 1.0, "n_elements": 1024}, '
+            '"p": {"polynomial": [60.0, -20.0, 35.0]}, "q_a": 0.4, "q_b": 1.3, '
+            '"checks": ["decomposition", "weak_index"]}')
+    harness.report_to_json(harness.run(harness.parse_problem(text)))
+    tracemalloc.start()
+    try:
+        report = harness.run(harness.parse_problem(text))
+        harness.report_to_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "pass" and report.error is None
+    assert peak < 2 * 2 ** 20, peak
+
+
 def test_weak_index_unknown_keyword():
     prob = problem(0.0, 1.0, 4, Constant(0.0))
     with pytest.raises(InvalidCoefficients):
@@ -553,6 +692,16 @@ def test_refine_nodal_potential_resampled():
     direct = verify_decomposition(prob)
     assert rep.mi_q[0] == direct.mi_q
     assert rep.a[0] == direct.a and rep.b[0] == direct.b
+
+
+def test_refine_factors_each_pencil_once_per_level(count_calls, factorization_sizes):
+    # the drift reads the same cached factorizations as the index split and
+    # the weak index; the dense references never run
+    dense = [count_calls(boundary, "robin_spectrum"), count_calls(boundary, "dirichlet_spectrum")]
+    rep = refine_and_check(problem(0.0, 1.0, 16, Constant(0.0), 1.0, 1.0), (16, 32, 64))
+    assert rep.counts_stable
+    assert dense == [[], []]
+    assert sorted(factorization_sizes) == [15, 17, 31, 33, 63, 65]
 
 
 def test_refine_requires_increasing_levels():

@@ -5,6 +5,7 @@ forms; and exactla's counts agree with an independent computer algebra
 system."""
 import random
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from morsekit import (
     SymmetricForm,
     analyze,
     diagonalize_duals,
+    inertia,
     kernel_intersection,
     maximal_negative_subspace_through,
     predict_multi,
@@ -235,3 +237,24 @@ def test_counts_match_sympy():
         # a wide constraint matrix: its rows are the first k rows of A
         k = rng.randint(1, n)
         assert exactla.rank(ours[:k]) == M[:k, :].to_DM().rank(), trial
+
+
+def test_numpy_integers_are_eliminated_as_python_ints():
+    # big * big overflows int64: numpy integer entries, and Fractions built
+    # on them, must reach the elimination as Python ints
+    big = 3037000500
+    rows = [[big, 1], [1, big]]
+    scalars = [[np.int64(v) for v in row] for row in rows]
+    variants = (scalars, np.array(scalars, dtype=object),
+                [[Fraction(v) for v in row] for row in scalars],
+                [[Fraction(np.int64(3 * v), np.int64(3)) for v in row] for row in rows])
+    want = exactla.inertia_counts(exactla.frac_matrix(rows))
+    assert want == (0, 0, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for variant in variants:
+            m = exactla.frac_matrix(variant)
+            assert all(type(x.numerator) is int and type(x.denominator) is int for x in m.flat)
+            assert exactla.inertia_counts(m) == want
+            form = SymmetricForm.from_matrix(variant, exact=True)
+            assert inertia(form).counts == want

@@ -240,19 +240,24 @@ def test_run_pde_empty_constraint_list():
     assert report.verdict == "pass"
 
 
-def test_run_pde_computes_dirichlet_spectrum_once(count_calls):
+def test_run_pde_computes_dirichlet_spectrum_once(count_calls, factorization_sizes):
+    # the clamped pencil is factored once, and its counts and near-zero
+    # eigenvalues read that factorization; the dense reference never runs
     calls = count_calls(boundary, "dirichlet_spectrum")
     doc = json.loads(PDE_DECOMP_DOC)
     doc["checks"] = ["decomposition", "weak_index"]
     report = run(parse_problem(json.dumps(doc)))
     assert report.verdict == "pass"
-    assert len(calls) == 1
+    n = doc["domain"]["n_elements"]
+    assert calls == []
+    assert sorted(factorization_sizes) == [n - 1, n + 1]
 
 
 def test_run_pde_solves_two_pencils_and_restricts_nothing(count_calls, monkeypatch):
-    # the Robin and the Dirichlet pencil; the weak index reads the kept
-    # Robin eigenvectors for its dual and counts its oracle on the
-    # tridiagonal pencil, so no form is restricted or solved again
+    # the Robin and the Dirichlet pencil are factored by Sturm counts; the
+    # weak index reads the Robin factorization for its banded dual and
+    # counts its oracle on the bordered pencil, so no dense eigensolve
+    # runs and no form is restricted
     eigh = count_calls(bilinear, "_eigh")
     restrict = count_calls(bilinear, "restrict")
     solve_dual = constraints.solve_dual
@@ -264,14 +269,14 @@ def test_run_pde_solves_two_pencils_and_restricts_nothing(count_calls, monkeypat
            "checks": ["decomposition", "weak_index"]}
     report = run(parse_problem(json.dumps(doc)))
     assert report.verdict == "pass"
-    assert len(eigh) == 2
+    assert eigh == []
     assert restrict == []
     prob = boundary.assemble(boundary.IntervalDomain(0.0, 1.0, 64), boundary.CoefficientSpec(
         boundary.Polynomial((60.0, -20.0, 35.0)), 0.4, 1.3))
-    fresh = bilinear.SymmetricForm(bilinear.InnerProductSpace(prob.Mmass), prob.Qmat)
-    expected = solve_dual(fresh, boundary.volume_functional(prob))
+    dense = bilinear.SymmetricForm(bilinear.InnerProductSpace(prob.Mmass), prob.Qmat)
+    expected = solve_dual(dense, boundary.volume_functional(prob))
     assert [o.status for o in outcomes] == ["in_range"]
-    assert np.array_equal(outcomes[0].u, expected.u)
+    assert np.linalg.norm(outcomes[0].u - expected.u) <= 1e-8 * np.linalg.norm(expected.u)
 
 
 def test_run_pde_decomposition():
