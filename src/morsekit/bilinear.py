@@ -437,6 +437,15 @@ def sturm_negatives(diag: np.ndarray, off: np.ndarray, border: np.ndarray | None
     return count + int(np.count_nonzero(np.linalg.eigvalsh(S) < 0.0))
 
 
+def counted_inertia(below, dim: int, tau: float, tol: Tolerances) -> Inertia:
+    """The inertia of a pencil of dimension dim from ``below(s)``, its count
+    of eigenvalues below s: counts at -+tau, the zero band, and at -+(1 +
+    marginal_factor) tau for the flag of ``classify_spectrum``."""
+    edge = (1.0 + tol.marginal_factor) * tau
+    neg, up = below(-tau), below(tau)
+    return Inertia(neg, up - neg, dim - up, below(edge) - below(-edge) > 0)
+
+
 @dataclass(frozen=True, eq=False)
 class SturmFactorization:
     """A tridiagonal pencil (matrix, gram), gram positive definite,
@@ -541,16 +550,11 @@ class SturmFactorization:
         return zero_band(self.scale, tol)
 
     def inertia(self, tol: Tolerances) -> Inertia:
-        """Counts at -+tau and the marginal flag from counts at
-        -+(1 + marginal_factor) tau: the semantics of ``classify_spectrum``
-        and ``near_band_edge``."""
+        """The ``counted_inertia`` of the pencil."""
         n = self.dim
         if self.scale == 0.0:
             return Inertia(0, n, 0, n > 0)
-        tau = self.band(tol)
-        edge = (1.0 + tol.marginal_factor) * tau
-        neg, up = self.below(-tau), self.below(tau)
-        return Inertia(neg, up - neg, n - up, self.below(edge) - self.below(-edge) > 0)
+        return counted_inertia(self.below, n, self.band(tol), tol)
 
     def eigenvalue(self, j: int) -> float:
         """Eigenvalue j in ascending order (from 0), bisected on counts to
@@ -814,10 +818,6 @@ def float_row_split(F: np.ndarray, tol: Tolerances,
     if d.size and d[0] > 0:
         r = int(np.sum(d > tol.rank * d[0]))
     return Q, r
-
-
-def float_rank(F: np.ndarray, tol: Tolerances) -> int:
-    return float_row_split(F, tol, "economic")[1]
 
 
 def restrict(form: SymmetricForm, constraints,

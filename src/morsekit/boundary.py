@@ -39,6 +39,7 @@ from .bilinear import (
     SymmetricForm,
     Tridiagonal,
     _eigh,
+    counted_inertia,
     float_row_split,
     solve_tridiagonal,
     sturm_negatives,
@@ -398,24 +399,19 @@ def _interval_oracle(problem: AssembledProblem, F: np.ndarray,
     restricts to.  By Haynsworth's inertia additivity the bordered matrix
     [[Q - s M, C], [C^T, 0]] has r + #(lambda < s) negative eigenvalues,
     lambda running over the constrained pencil, and its LDL^T with the
-    border last counts them (``sturm_negatives``).  Counts below
-    +-tau and +-(1 + marginal_factor) tau, tau the Robin pencil's zero
-    band, give the semantics of ``classify_spectrum`` and
-    ``near_band_edge``.
+    border last counts them (``sturm_negatives``); ``counted_inertia``
+    reads the counts against the Robin pencil's zero band.
     """
     Q, r = float_row_split(F, tol, "economic")
     C = Q[:, :r]
     dim = problem.n_nodes - r
     if dim == 0:
         return Inertia(0, 0, 0)
-    tau = problem.robin_factorization.band(tol)
 
     def below(s: float) -> int:
         return sturm_negatives(*problem.Q_band.shifted(s, problem.M_band), C) - r
 
-    edge = (1.0 + tol.marginal_factor) * tau
-    neg, up = below(-tau), below(tau)
-    return Inertia(neg, up - neg, dim - up, below(edge) - below(-edge) > 0)
+    return counted_inertia(below, dim, problem.robin_factorization.band(tol), tol)
 
 
 def refine_and_check(problem: AssembledProblem, levels,

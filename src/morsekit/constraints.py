@@ -1,15 +1,15 @@
 """Predicting index and nullity changes under linear constraints.
 
-A constraint is a linear functional phi(v) = f . v.  When f lies in the
-range of the form's coefficient matrix, a dual vector u with A u = f
-exists and the sign of phi(u) = f . u decides everything: the Morse index
-drops by one exactly when phi(u) <= 0, and the nullity moves by +1, 0, or
--1 according to whether phi(u) is zero, of strict sign, or f misses the
-range entirely.  Several independent in-range constraints reduce to the
-inertia of the small pairing matrix M[i, j] = S(u_i, u_j).  Every
-prediction produced here is meant to be checked against the brute-force
-restriction oracle in :mod:`morsekit.bilinear`; ``analyze`` does both and
-reports whether they agree.
+A constraint is a linear functional phi(v) = f . v, with a dual u, A u = f,
+when f lies in the range of A.  One formula predicts every constraint set.
+Let Phi be the span of the nonzero functionals, k = dim Phi, and Phi_R its
+part that vanishes on Ker A, k0 = dim Phi_R; let M[i, j] = S(u_i, u_j) pair
+the duals of a basis of Phi_R (compare Maddocks' restricted quadratic
+forms, 1985).  On the joint kernel the Morse index is mi - (neg + zero)(M)
+and the nullity null + zero(M) - (k - k0); for one constraint that is its
+``BRANCH_EFFECT`` entry by the sign of phi(u).  ``analyze`` checks every
+prediction against the brute-force restriction oracle of
+:mod:`morsekit.bilinear` and reports whether they agree.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .bilinear import (
     SymmetricForm,
     as_backend_vector,
     factor,
-    float_rank,
+    float_row_split,
     inertia,
     rayleigh,
     restrict,
@@ -131,8 +131,8 @@ class ConstrainedReport:
     nullity_full: int
     mi_constrained_oracle: int
     nullity_constrained_oracle: int
-    mi_constrained_predicted: int | None
-    nullity_constrained_predicted: int | None
+    mi_constrained_predicted: int
+    nullity_constrained_predicted: int
     s_critical: tuple
     agreement: bool
     warnings: tuple[str, ...] = ()
@@ -142,9 +142,16 @@ def riesz(space: InnerProductSpace, phi) -> np.ndarray:
     """The vector representing phi in the inner product: gram . rep = f."""
     phi = as_functional(phi, space.exact)
     if space.exact:
-        x = exactla.solve_general(space.gram, phi.coeffs)
-        return x
+        return exactla.solve_general(space.gram, phi.coeffs)
     return np.linalg.solve(space.gram, phi.coeffs)
+
+
+def _marginal_cosines(cosines, what: str, tol: Tolerances) -> tuple[str, ...]:
+    """A warning for each range cosine within a factor marginal_factor of
+    the floating cutoff ``tol.residual``, if that is positive."""
+    cutoff, mf = tol.residual, tol.marginal_factor
+    return tuple(f"range cosine {c:.3e} of {what} is marginal against cutoff {cutoff:.1e}"
+                 for c in cosines if cutoff and cutoff / mf <= c <= cutoff * mf)
 
 
 def solve_dual(form: SymmetricForm, phi,
@@ -165,10 +172,7 @@ def solve_dual(form: SymmetricForm, phi,
     fac = factor(form)
     cosine = fac.range_cosine(f, tol)
     cutoff = 0 if form.exact else tol.residual
-    warnings = ()
-    if cutoff and cutoff / tol.marginal_factor <= cosine <= cutoff * tol.marginal_factor:
-        warnings = (f"range cosine {cosine:.3e} of the dual solve is marginal "
-                    f"against cutoff {cutoff:.1e}",)
+    warnings = () if form.exact else _marginal_cosines([cosine], "the dual solve", tol)
     if cosine <= cutoff:
         u = fac.solve(f, tol)
         return SolveOutcome("in_range", u=u, phi_of_u=f.dot(u), residual=cosine,
@@ -222,20 +226,38 @@ def is_s_critical(form: SymmetricForm, phi, tol: Tolerances | None = None) -> bo
     return predict_index_drop(form, phi, tol) == 1
 
 
-def _independent(form: SymmetricForm, coeff_rows: list[np.ndarray],
-                 tol: Tolerances) -> bool:
-    F = np.stack(coeff_rows, axis=0)
+def _row_space(form: SymmetricForm, rows: list[np.ndarray], tol: Tolerances) -> np.ndarray:
+    """A basis of the rows' span as columns: the reduced rows of the RREF
+    (exact), or orthonormal by the rank rule of ``kernel_intersection``."""
+    F = np.stack(rows, axis=0)
     if form.exact:
-        return exactla.rank(F) == len(coeff_rows)
-    return float_rank(F, tol) == len(coeff_rows)
+        R, pivots = exactla.rref(F)
+        return np.array(R[:len(pivots)], dtype=object).reshape(len(pivots), F.shape[1]).T
+    Q, r = float_row_split(F, tol, "economic")
+    return Q[:, :r]
+
+
+def _range_duals(form: SymmetricForm, basis: np.ndarray, tol: Tolerances, warnings: list) -> list:
+    """The duals of a basis of Phi_R: the combinations B c that vanish on
+    Ker(A).  For orthonormal floating B, B c is in range when its cosine to
+    Ker(A), a singular value of Q^T B for Q orthonormal on Ker(A), passes
+    ``solve_dual``'s absolute cutoff and marginal test (``_marginal_cosines``)."""
+    fac = factor(form)
+    K = fac.kernel(tol)
+    if form.exact:
+        coords = exactla.nullspace(K.T.dot(basis))
+    else:
+        _, sigma, Vt = np.linalg.svd(np.linalg.qr(K)[0].T.dot(basis))
+        sigma = np.concatenate([sigma, np.zeros(basis.shape[1] - sigma.size)])
+        warnings.extend(_marginal_cosines(sigma, "the constraint span", tol))
+        coords = Vt[sigma <= tol.residual]
+    return [fac.solve(basis.dot(c), tol) for c in coords]
 
 
 def _on_span(form: SymmetricForm, duals: list) -> tuple[np.ndarray, SymmetricForm]:
     """The form on the span of the duals and the basis it is written in:
-    the duals (exact), or an orthonormal basis of their span (floating),
-    which has the same inertia without squaring the duals' conditioning.
-    Exact counts read only the matrix, so the exact pairing form lives on
-    the Euclidean space and no gram U^T G U is formed."""
+    the duals on the Euclidean space (exact counts read only the matrix),
+    or an orthonormal basis, which does not square their conditioning."""
     U = np.stack(duals, axis=1)
     if form.exact:
         return U, SymmetricForm.from_matrix(exactla.congruence(form.matrix, U), exact=True,
@@ -267,15 +289,13 @@ def predict_multi(form: SymmetricForm, phis,
     phis = [as_functional(p, form.exact) for p in phis]
     if any(p.is_zero() for p in phis):
         raise TrivialFunctional("constraint set contains the zero functional")
-    if not _independent(form, [p.coeffs for p in phis], tol):
+    if _row_space(form, [p.coeffs for p in phis], tol).shape[1] < len(phis):
         raise DependentConstraints("constraint functionals are linearly dependent")
-    duals = []
-    for i, p in enumerate(phis):
-        outcome = solve_dual(form, p, tol)
+    outcomes = [solve_dual(form, p, tol) for p in phis]
+    for i, outcome in enumerate(outcomes):
         if not outcome.in_range:
             raise FunctionalNotInRange(i)
-        duals.append(outcome.u)
-    return _joint_prediction(form, duals, tol)
+    return _joint_prediction(form, [o.u for o in outcomes], tol)
 
 
 def diagonalize_duals(form: SymmetricForm, duals,
@@ -283,7 +303,7 @@ def diagonalize_duals(form: SymmetricForm, duals,
     """Replace duals by a basis of the same span that is S-orthogonal."""
     tol = tol or form.space.tol
     duals = [as_backend_vector(u, form.exact) for u in duals]
-    if not _independent(form, duals, tol):
+    if _row_space(form, duals, tol).shape[1] < len(duals):
         raise DependentInput("dual vectors are linearly dependent")
     U, pairing = _on_span(form, duals)
     out = U.dot(factor(pairing).vectors)
@@ -294,11 +314,11 @@ def analyze(form: SymmetricForm, constraints, tol: Tolerances | None = None,
             oracle: Inertia | None = None) -> ConstrainedReport:
     """Run predictions and the restriction oracle side by side.
 
-    Constraint sets outside the theorems' hypotheses (a zero functional,
-    dependent functionals, or k >= 2 with some functional not in range)
-    degrade to oracle-only mode: the oracle columns are always filled,
-    predictions become None, and a warning explains why.  Predicted
-    counts no form can have raise ImpossibleCounts.
+    Every constraint set is predicted by the module's formula: one nonzero
+    constraint by its ``BRANCH_EFFECT`` entry, independent in-range ones by
+    the pairing of their own duals, any other set by the duals of a basis
+    of Phi_R (``_range_duals``).  Predicted counts no form can have raise
+    ImpossibleCounts.
 
     ``oracle`` is the inertia of the form on the joint kernel of the
     constraints when the caller can count it on a cheaper route than the
@@ -322,35 +342,30 @@ def analyze(form: SymmetricForm, constraints, tol: Tolerances | None = None,
     if oracle.marginal:
         warnings.append("restricted spectrum has marginal eigenvalues")
 
-    predicted_mi: int | None = None
-    predicted_null: int | None = None
-    decisions: list[Decision] = []
-    if any(p.is_zero() for p in phis):
-        warnings.append("trivial functional: prediction skipped, oracle only")
-    else:
-        decisions = [decide(form, p, tol) for p in phis]
-        for d in decisions:
-            warnings.extend(d.outcome.warnings)
-            if d.marginal:
-                warnings.append("phi(u) classification is marginal")
-        missing = [i for i, d in enumerate(decisions) if not d.outcome.in_range]
-        if len(decisions) <= 1:
-            # no constraint, or one whose table entry is the whole change
-            predicted_mi = full.negative - sum(d.drop for d in decisions)
-            predicted_null = full.zero + sum(d.change for d in decisions)
-        elif not _independent(form, [p.coeffs for p in phis], tol):
-            warnings.append("dependent constraints: prediction skipped, oracle only")
-        elif missing:
-            warnings.append(f"functional {missing[0]} not in range with k >= 2: "
-                            "no joint formula, oracle only")
-        else:
-            multi = _joint_prediction(form, [d.outcome.u for d in decisions], tol)
+    nonzero = [p for p in phis if not p.is_zero()]
+    decisions = [decide(form, p, tol) for p in nonzero]
+    for d in decisions:
+        warnings.extend(d.outcome.warnings)
+        if d.marginal:
+            warnings.append("phi(u) classification is marginal")
+    # the index drop (neg + zero)(M) and the nullity change zero(M) - (k - k0)
+    drop, change = 0, 0
+    if len(decisions) == 1:
+        drop, change = decisions[0].drop, decisions[0].change
+    elif decisions:
+        basis = _row_space(form, [p.coeffs for p in nonzero], tol)
+        duals = [d.outcome.u for d in decisions]
+        if basis.shape[1] < len(decisions) or any(u is None for u in duals):
+            duals = _range_duals(form, basis, tol, warnings)
+        change = len(duals) - basis.shape[1]
+        if duals:
+            multi = _joint_prediction(form, duals, tol)
             if multi.marginal:
                 warnings.append("pairing matrix spectrum has marginal eigenvalues")
-            predicted_mi = full.negative - multi.c
-            predicted_null = full.zero + multi.c0
-    if predicted_mi is not None and not (predicted_mi >= 0 and 0 <= predicted_null <= form.dim):
-        raise ImpossibleCounts(f"predicted index {predicted_mi} and nullity {predicted_null} "
+            drop, change = multi.c, change + multi.c0
+    mi, null = full.negative - drop, full.zero + change
+    if not (mi >= 0 and 0 <= null <= form.dim):
+        raise ImpossibleCounts(f"predicted index {mi} and nullity {null} "
                                f"are impossible in dimension {form.dim}; warnings: {warnings}")
 
     return ConstrainedReport(
@@ -358,10 +373,10 @@ def analyze(form: SymmetricForm, constraints, tol: Tolerances | None = None,
         nullity_full=full.zero,
         mi_constrained_oracle=oracle.negative,
         nullity_constrained_oracle=oracle.zero,
-        mi_constrained_predicted=predicted_mi,
-        nullity_constrained_predicted=predicted_null,
-        s_critical=tuple(d.drop == 1 for d in decisions),
-        agreement=(predicted_mi is None
-                   or (predicted_mi, predicted_null) == (oracle.negative, oracle.zero)),
+        mi_constrained_predicted=mi,
+        nullity_constrained_predicted=null,
+        # a set with a zero functional names no critical constraints
+        s_critical=tuple(d.drop == 1 for d in decisions) if len(nonzero) == len(phis) else (),
+        agreement=(mi, null) == (oracle.negative, oracle.zero),
         warnings=tuple(warnings),
     )

@@ -46,16 +46,13 @@ class DependentInput(MorsekitError):
 
 
 class FunctionalNotInRange(MorsekitError):
-    """A functional has no dual vector; the multi-constraint count formula
-    needs every functional representable as S(u, .).
-
-    The index of the offending functional is stored in ``index``.
-    """
+    """A functional, its index stored in ``index``, has no dual vector,
+    which ``predict_multi`` needs for every functional."""
 
     def __init__(self, index: int, message: str | None = None):
         self.index = index
         super().__init__(message or f"functional {index} is not in the range of the form; "
-                         "use the single-constraint analysis per functional instead")
+                         "analyze predicts any constraint set")
 
 
 class ImpossibleCounts(MorsekitError):

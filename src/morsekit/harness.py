@@ -541,20 +541,13 @@ def fuzz(seed: int, trials: int, dim_max: int = 8, backend: str = "exact",
                 bound_violations.append(
                     _instance_dump(t, branch, A, fs)
                     | {"drop": drop_oracle, "change": change_oracle})
-        if exact and k_set >= 2 and rep.mi_constrained_predicted is None:
-            generator_mismatches.append(
-                _instance_dump(t, branch, A, fs)
-                | {"note": "multi prediction unavailable"})
         if k_set == 1:
             nullity_cases[f"{change_oracle:+d}" if change_oracle else "0"] += 1
-            if rep.mi_constrained_predicted is not None:
-                pred_drop = rep.mi_full - rep.mi_constrained_predicted
-                pred_change = (rep.nullity_constrained_predicted
-                               - rep.nullity_full)
-                observed = _BRANCH_OF_EFFECT[(pred_drop, pred_change)]
-                if exact and observed != branch:
-                    generator_mismatches.append(
-                        _instance_dump(t, branch, A, fs) | {"observed": observed})
+            observed = _BRANCH_OF_EFFECT[(rep.mi_full - rep.mi_constrained_predicted,
+                                          rep.nullity_constrained_predicted - rep.nullity_full)]
+            if exact and observed != branch:
+                generator_mismatches.append(
+                    _instance_dump(t, branch, A, fs) | {"observed": observed})
         if rep.agreement:
             agreements += 1
         else:

@@ -1,5 +1,5 @@
 """Constraint predictors against the restriction oracle: dual solves,
-single and joint drop formulas, criticality, degraded modes."""
+single and joint drop formulas, criticality, every kind of constraint set."""
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -379,30 +379,34 @@ def test_analyze_no_constraints():
     assert rep.agreement
 
 
-def test_analyze_zero_functional_degrades_to_oracle():
+def _predicted_equals_oracle(rep, counts):
+    assert (rep.mi_constrained_predicted, rep.nullity_constrained_predicted) == counts
+    assert (rep.mi_constrained_oracle, rep.nullity_constrained_oracle) == counts
+    assert rep.agreement
+    assert not any("oracle only" in w for w in rep.warnings)
+
+
+def test_analyze_predicts_set_with_zero_functional():
     form = exact_form([[-1, 0], [0, 1]])
     rep = analyze(form, [fv([0, 0])])
-    assert rep.mi_constrained_predicted is None
-    assert rep.mi_constrained_oracle == 1  # Ker(0) is the whole space
-    assert rep.agreement  # vacuous
-    assert any("trivial" in w for w in rep.warnings)
+    # Ker(0) is the whole space
+    _predicted_equals_oracle(rep, (1, 0))
+    assert rep.s_critical == ()
 
 
-def test_analyze_dependent_multi_degrades_to_oracle():
+def test_analyze_predicts_dependent_set():
     form = exact_form(np.diag([-1, -1, 1]))
     rep = analyze(form, [fv([1, 0, 0]), fv([2, 0, 0])])
-    assert rep.mi_constrained_predicted is None
-    assert rep.mi_constrained_oracle == 1
-    assert any("dependent" in w for w in rep.warnings)
+    # Phi = span(e1) is in range with M = (-1): one drop
+    _predicted_equals_oracle(rep, (1, 0))
 
 
-def test_analyze_multi_out_of_range_degrades_to_oracle():
+def test_analyze_predicts_set_with_functional_out_of_range():
     form = exact_form(np.diag([0, 1, -1]))
     rep = analyze(form, [fv([0, 1, 0]), fv([1, 0, 0])])
-    assert rep.mi_constrained_predicted is None
-    assert any("not in range" in w for w in rep.warnings)
-    # oracle still exact: Ker both = span(e3), restricted form = (-1)
-    assert rep.mi_constrained_oracle == 1
+    # Ker both = span(e3), restricted form = (-1); Phi_R = span(e2) with
+    # M = (1), and e1 off the range takes the nullity
+    _predicted_equals_oracle(rep, (1, 0))
 
 
 def test_analyze_agreement_over_random_instances():
@@ -414,6 +418,95 @@ def test_analyze_agreement_over_random_instances():
         fs = [fv(rng.integers(-3, 4, n)) for _ in range(k)]
         rep = analyze(form, fs)
         assert rep.agreement
+
+
+SET_KINDS = ("mixed", "dependent", "zero", "random")
+
+
+def planted_set(rng, kind):
+    """(A, fs): A = B^T L B for unimodular integer B and n <= 8, half with
+    a planted kernel, and one to n - 1 integer constraints of the kind:
+    each in range (B^T L y) or not (B^T y) at random, the same plus an
+    integer combination of them, the same plus a zero row, or arbitrary
+    integer rows."""
+    n = int(rng.integers(2, 9))
+    lam = rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5], n)
+    if rng.integers(2):
+        lam[rng.permutation(n)[:rng.integers(1, n)]] = 0
+    B = random_unimodular(rng, n)
+    k = int(rng.integers(1, n))
+    if kind == "random":
+        return B.T @ (lam[:, None] * B), [rng.integers(-3, 4, n) for _ in range(k)]
+    fs = [B.T @ (lam * y if rng.integers(2) else y)
+          for y in rng.integers(-2, 3, (k, n))]
+    if kind == "dependent":
+        fs.append(sum(int(c) * f for c, f in zip(rng.integers(-2, 3, k), fs)))
+    elif kind == "zero":
+        fs.insert(int(rng.integers(k + 1)), np.zeros(n, dtype=np.int64))
+    return B.T @ (lam[:, None] * B), fs
+
+
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_analyze_predicts_every_exact_set(kind):
+    rng = np.random.default_rng(SET_KINDS.index(kind))
+    for _ in range(100):
+        A, fs = planted_set(rng, kind)
+        rep = analyze(SymmetricForm.from_matrix(A, exact=True), fs)
+        predicted = (rep.mi_constrained_predicted, rep.nullity_constrained_predicted)
+        assert all(type(c) is int for c in predicted)
+        assert predicted == (rep.mi_constrained_oracle, rep.nullity_constrained_oracle)
+        assert rep.agreement
+
+
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_float_predictions_under_congruence_are_right(kind):
+    # the float form c P^T A P on the gram P^T P with constraints d_i P^T f_i
+    # has the restricted counts of the exact A with the f_i, for any
+    # invertible P and positive scales c and d_i
+    rng = np.random.default_rng(100 + SET_KINDS.index(kind))
+    checked = 0
+    for _ in range(60):
+        A, fs = planted_set(rng, kind)
+        exact = analyze(SymmetricForm.from_matrix(A, exact=True), fs)
+        truth = (exact.mi_constrained_oracle, exact.nullity_constrained_oracle)
+        n = A.shape[0]
+        P = np.eye(n) + rng.uniform(-1.0, 1.0, (n, n))
+        AP = P.T @ A @ P
+        form = SymmetricForm.from_matrix(10.0 ** rng.uniform(-3, 3) * 0.5 * (AP + AP.T),
+                                         gram=P.T @ P)
+        rep = analyze(form, [10.0 ** rng.uniform(-3, 3) * (P.T @ f) for f in fs])
+        # a planted kernel flags the full spectrum, so the rule "right
+        # unless flagged" would not see a wrong count on a set with one
+        # out of range; the predictor is held to the truth everywhere
+        assert (rep.mi_constrained_predicted, rep.nullity_constrained_predicted) == truth
+        if not any("marginal" in w for w in rep.warnings):
+            assert (rep.mi_constrained_oracle, rep.nullity_constrained_oracle) == truth
+            checked += 1
+    assert checked >= 20
+
+
+def test_range_cutoff_is_absolute():
+    # Ker A = span(e1), and every constraint meets it at a cosine of 1e-12,
+    # far inside the cutoff: Phi_R is all of Phi = span(e2, e3), M =
+    # diag(1, -1).  A cutoff relative to the largest cosine would read the
+    # 1 x 2 block K^T B as rank 1 and lose a dimension of Phi_R.
+    form = SymmetricForm.from_matrix(np.diag([0.0, 1.0, -1.0]))
+    rep = analyze(form, [np.array([1e-12, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+                         np.array([1e-12, 1.0, 1.0])])
+    assert (rep.mi_constrained_predicted, rep.nullity_constrained_predicted) == (0, 1)
+    assert rep.agreement
+
+
+def test_span_cosine_near_the_cutoff_is_warned():
+    # Ker A = span(e1, e2); each constraint is far from the range, but
+    # their difference (0, -3e-8, 1, -1) meets Ker A at a cosine of 2.1e-8,
+    # just past the cutoff: Phi_R = 0 and the nullity falls by two
+    form = SymmetricForm.from_matrix(np.diag([0.0, 0.0, 1.0, -1.0]))
+    rep = analyze(form, [np.array([1.0, 0.0, 1.0, 0.0]), np.array([1.0, 3e-8, 0.0, 1.0])])
+    assert (rep.mi_constrained_predicted, rep.nullity_constrained_predicted) == (1, 0)
+    assert rep.agreement
+    assert ("range cosine 2.121e-08 of the constraint span is marginal against cutoff 1.0e-08"
+            in rep.warnings)
 
 
 def test_analyze_float_backend_report():

@@ -469,12 +469,24 @@ def test_fuzz_validations():
         fuzz(seed=0, trials=1, dim_max=6, k_choices=(9,))
 
 
-@pytest.mark.parametrize("backend,digest", [
-    ("exact", "dce65eb0d1f5f63880b7bf8bc43d277ddaf61d9a54c41ad4167043b621b7aebc"),
-    ("float", "2800769c64c6c05cc8f2cdbf18efcf32086f3186a72ee6794a518a44f9626581"),
-])
-def test_fuzz_report_bytes_are_pinned(backend, digest):
-    text = report_to_json(fuzz(seed=42, trials=200, backend=backend))
+_PINNED_CAMPAIGNS = [
+    # (backend, sha256 of the report, campaign arguments besides trials=200)
+    ("exact", "dce65eb0d1f5f63880b7bf8bc43d277ddaf61d9a54c41ad4167043b621b7aebc",
+     {"seed": 42}),
+    ("float", "2800769c64c6c05cc8f2cdbf18efcf32086f3186a72ee6794a518a44f9626581",
+     {"seed": 42}),
+    ("exact", "b846039df940be016d804a44064ca5f1a6a717e4beba238204291bd71da3abfc",
+     {"seed": 7, "k_choices": (2, 3)}),
+    ("float", "409b37156b98eb923ae8be9c8239ad12857424e0eae32387f21b77cb53a6bbd1",
+     {"seed": 7, "k_choices": (2, 3)}),
+]
+
+
+@pytest.mark.parametrize("backend,digest,campaign", [
+    pytest.param(backend, digest, campaign, id=f"{backend}-{digest}")
+    for backend, digest, campaign in _PINNED_CAMPAIGNS])
+def test_fuzz_report_bytes_are_pinned(backend, digest, campaign):
+    text = report_to_json(fuzz(trials=200, backend=backend, **campaign))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -70,7 +70,7 @@ def _agrees_unless_flagged(truth, A, fs):
         return
     oracle, predicted = _counts(rep)
     assert oracle == truth
-    assert predicted in (truth, (None, None))
+    assert predicted == truth
 
 
 @PROPERTY
