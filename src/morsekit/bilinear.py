@@ -93,13 +93,20 @@ class Tridiagonal:
 
 def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The solution of T x = rhs for the symmetric tridiagonal T with these
-    bands (LAPACK banded LU with partial pivoting); vectors or n x k
-    blocks.  Raises scipy.linalg.LinAlgError when T is exactly singular."""
-    ab = np.zeros((3, diag.shape[0]))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    bands (LAPACK dgtsv, LU with partial pivoting, the routine behind
+    ``scipy.linalg.solve_banded((1, 1), ...)``); vectors or n x k blocks.
+    Raises scipy.linalg.LinAlgError when T is exactly singular and
+    ValueError on inf or NaN input."""
+    if diag.shape[0] < 2:
+        ab = np.zeros((3, diag.shape[0]))
+        ab[1] = diag
+        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = scipy.linalg.lapack.dgtsv(off, diag, off, rhs)
+    if info > 0:
+        raise scipy.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def _ldl_definite(diag: np.ndarray, off: np.ndarray) -> bool:
@@ -437,6 +444,28 @@ def sturm_negatives(diag: np.ndarray, off: np.ndarray, border: np.ndarray | None
     return count + int(np.count_nonzero(np.linalg.eigvalsh(S) < 0.0))
 
 
+def tridiagonal_negatives(diag: np.ndarray, off: np.ndarray) -> int:
+    """The number of negative eigenvalues of the symmetric tridiagonal T
+    with these bands, by one LAPACK bisection count (dstebz, Kahan's count
+    of the pivots of the same recurrence as ``sturm_negatives``).  dstebz
+    counts the eigenvalues at or below a point, so the strict count is n
+    minus its count for -T at 0; an abstol of inf stops it before any
+    bisection.  The pivots are bitwise those of ``sturm_negatives`` until
+    one is (nearly) zero: dstebz moves a pivot below pivmin, an
+    underflow-sized floor, to -pivmin, where the recurrence moves an exact
+    zero pivot to eps times the largest entry, and it drops an off-diagonal
+    e_j with e_j^2 below ulp^2 |d_j d_j+1|.  T of order below 2 goes to
+    ``sturm_negatives``."""
+    n = diag.shape[0]
+    if n < 2:
+        return sturm_negatives(diag, off)
+    m, _, _, _, info = scipy.linalg.lapack.dstebz(-diag, -off, 1, -math.inf, 0.0, 0, 0,
+                                                  math.inf, "B")
+    if info:
+        raise EigensolverFailure(f"LAPACK dstebz failed (info {info})")
+    return n - m
+
+
 def counted_inertia(below, dim: int, tau: float, tol: Tolerances) -> Inertia:
     """The inertia of a pencil of dimension dim from ``below(s)``, its count
     of eigenvalues below s: counts at -+tau, the zero band, and at -+(1 +
@@ -452,13 +481,14 @@ class SturmFactorization:
     factored by counts instead of eigenpairs.
 
     ``below(s)``, the number of pencil eigenvalues below s, is the number
-    of negative LDL^T pivots of matrix - s * gram (Sylvester's law), O(n)
-    per shift; counts are kept by shift.  It answers what
-    :class:`Factorization` answers: ``inertia`` and ``band`` from counts
-    at the band edges, eigenvalues by bisection, the kernel columns by
-    inverse iteration at the eigenvalues inside the band, and ``solve`` by
-    a banded solve.  ``scale`` is the spectral radius, by default found
-    by bisection; a clamped pencil is given its parent's.
+    of negative LDL^T pivots of matrix - s * gram (Sylvester's law), one
+    LAPACK count (``tridiagonal_negatives``) in O(n) per shift; counts are
+    kept by shift.  It answers what :class:`Factorization` answers:
+    ``inertia`` and ``band`` from counts at the band edges, eigenvalues by
+    bisection, the kernel columns by inverse iteration at the eigenvalues
+    inside the band, and ``solve`` by a banded solve
+    (``solve_tridiagonal``).  ``scale`` is the spectral radius, by default
+    found by bisection; a clamped pencil is given its parent's.
     """
 
     matrix: Tridiagonal
@@ -543,7 +573,7 @@ class SturmFactorization:
         """The number of eigenvalues below s."""
         count = self.counts.get(s)
         if count is None:
-            count = self.counts[s] = sturm_negatives(*self.matrix.shifted(s, self.gram))
+            count = self.counts[s] = tridiagonal_negatives(*self.matrix.shifted(s, self.gram))
         return count
 
     def band(self, tol: Tolerances) -> float:

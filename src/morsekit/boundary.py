@@ -12,14 +12,16 @@ check is the exact matrix identity behind the index split MI(Q) = a + b:
 block inertia additivity of Qmat partitioned into interior and boundary
 nodes.
 
-Both pencils are factored by Sturm counts (``SturmFactorization``): the
-counts at the band edges, the eigenvalues nearest zero by bisection, and
-the boundary Schur complement by one banded solve, all O(n) per shift.
-The weak index, Q on the kernel of the volume functional or of explicit
-constraints, is predicted from the Robin factorization, whose banded
-solves give the duals.  Its oracle takes another route: the counts of the
-restricted pencil come from the LDL^T recurrence of the pencil bordered
-by the constraints, instead of a dense restriction B^T A B.
+Both pencils are factored by Sturm counts (``SturmFactorization``, one
+LAPACK dstebz count per shift): the counts at the band edges, the
+eigenvalues nearest zero by bisection, and the boundary Schur complement
+by one banded solve, all O(n) per shift.  The weak index, Q on the
+kernel of the volume functional or of explicit constraints, is predicted
+from the Robin factorization, whose banded solves give the duals.  Its
+oracle takes another route and another count: the counts of the
+restricted pencil come from the hand-written LDL^T recurrence
+(``sturm_negatives``) of the pencil bordered by the constraints, instead
+of a dense restriction B^T A B.
 ``robin_spectrum`` and ``dirichlet_spectrum`` stay as the dense O(n^3)
 reference.
 """

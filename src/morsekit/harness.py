@@ -370,7 +370,8 @@ _DEFAULT_CYCLE = ("negative", "zero", "positive", "out_of_range", "multi:2",
 
 def random_unimodular(rng: np.random.Generator, n: int) -> np.ndarray:
     """Integer matrix with determinant +-1 built from elementary row
-    operations; entries are capped so products A = B^T L B stay exactly
+    operations; entries are capped at 300 so products A = B^T L B with
+    |L| <= 5 stay below n * 5 * 300^2, 1.44e7 at n = 32, and so exactly
     representable in both int64 and float64."""
     # rows are Python int lists: at dim <= 12, numpy scalar arithmetic
     # costs more than the work
@@ -490,8 +491,8 @@ def fuzz(seed: int, trials: int, dim_max: int = 8, backend: str = "exact",
         raise ValidationError("trials must be nonnegative")
     if dim_max < 2:
         raise ValidationError("dim_max must be at least 2")
-    if backend == "exact" and dim_max > 12:
-        raise ValidationError("exact backend is capped at dim_max = 12")
+    if backend == "exact" and dim_max > 32:
+        raise ValidationError("exact backend is capped at dim_max = 32")
     if backend not in ("exact", "float"):
         raise ValidationError(f"unknown backend {backend!r}")
     if k_choices is not None:

@@ -2,6 +2,7 @@
 restriction oracle, projections, maximal negative subspaces."""
 import numpy as np
 import pytest
+import scipy.linalg
 from fractions import Fraction
 
 from morsekit import exactla
@@ -22,6 +23,9 @@ from morsekit.bilinear import (
     restrict,
     restrict_to,
     s_project,
+    solve_tridiagonal,
+    sturm_negatives,
+    tridiagonal_negatives,
 )
 from morsekit.errors import (
     IsotropicDirection,
@@ -591,3 +595,103 @@ def test_tridiagonal_restriction_is_the_dense_one():
     assert inertia(a) == inertia(b)
     with pytest.raises(UnsupportedBackend):
         fundamental_decomposition(tri)
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK count kernel and tridiagonal solve, against their references
+
+def _integer_bands(rng, n):
+    return (rng.integers(-3, 4, n).astype(float), rng.integers(-3, 4, n - 1).astype(float))
+
+
+def test_count_kernel_matches_the_recurrence_on_integer_tridiagonals():
+    # an exactly singular T is counted by rounding: its zero eigenvalue may
+    # land on either side of 0, in either kernel, so there both counts lie
+    # between the exact negative and nonpositive counts; every other T is
+    # counted as the recurrence counts it, zero pivots included
+    def check(d, e):
+        count, reference = tridiagonal_negatives(d, e), sturm_negatives(d, e)
+        if count != reference:
+            T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            neg, zero, _ = exactla.inertia_counts(T.astype(int).astype(object))
+            assert zero > 0, (d, e)
+            assert neg <= min(count, reference) and max(count, reference) <= neg + zero
+        return count != reference
+
+    rng = np.random.default_rng(31)
+    zero_pivots = 0
+    for _ in range(20000):
+        d, e = _integer_bands(rng, int(rng.integers(2, 9)))
+        zero_pivots += d[0] == 0.0
+        check(d, e)
+    assert zero_pivots > 2000
+    # inertia (3, 1, 2) and a zero first pivot: after the recurrence's
+    # eps-sized replacement pivot the last pivot rounds to +1.8e-15, after
+    # LAPACK's 2e-307 to -8.9e-16
+    assert check(np.array([0.0, 0.0, -3.0, -1.0, -1.0, 2.0]),
+                 np.array([-3.0, -3.0, 1.0, -1.0, -1.0]))
+
+
+def test_count_kernel_keeps_an_exact_kernel_at_or_above_zero():
+    # the Neumann Laplacian's constant vector: its last pivot is an exact 0
+    for n in (2, 3, 17, 1024):
+        d = np.full(n, 2.0)
+        d[[0, -1]] = 1.0
+        e = -np.ones(n - 1)
+        assert tridiagonal_negatives(d, e) == sturm_negatives(d, e) == 0
+        assert tridiagonal_negatives(d - 1e-12, e) == 1
+        sturm = factor(SymmetricForm(InnerProductSpace(Tridiagonal.identity(n)), Tridiagonal(d, e)))
+        below, at_or_above = sturm.near_zero()
+        assert below is None and abs(at_or_above) <= 1e-12 * sturm.scale
+        assert sturm.inertia(DEFAULT).counts == (0, 1, n - 1)
+
+
+def test_count_kernel_small_orders():
+    assert tridiagonal_negatives(np.empty(0), np.empty(0)) == 0
+    for a in (-1.0, 0.0, 2.0):
+        assert tridiagonal_negatives(np.array([a]), np.empty(0)) == int(a < 0.0)
+    values = (-2.0, -1.0, 0.0, 1.0, 2.0)
+    for a in values:
+        for b in values:
+            for c in values:
+                d, e = np.array([a, c]), np.array([b])
+                assert tridiagonal_negatives(d, e) == sturm_negatives(d, e), (a, b, c)
+
+
+def test_count_kernel_is_scale_free():
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        d, e = _integer_bands(rng, int(rng.integers(2, 9)))
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        if exactla.inertia_counts(T.astype(int).astype(object))[1]:
+            continue
+        count = tridiagonal_negatives(d, e)
+        for c in (1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150):
+            assert tridiagonal_negatives(c * d, c * e) == sturm_negatives(c * d, c * e) == count
+
+
+def test_solve_tridiagonal_is_bitwise_the_banded_solve():
+    rng = np.random.default_rng(33)
+    for n in (2, 3, 16, 255):
+        d, e = rng.normal(size=n), rng.normal(size=n - 1)
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = e, d, e
+        for rhs in (rng.normal(size=n), rng.normal(size=(n, 2)), rng.normal(size=(n, 5))):
+            x = solve_tridiagonal(d, e, rhs)
+            assert x.shape == rhs.shape
+            assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, rhs))
+
+
+def test_solve_tridiagonal_errors_and_order_one():
+    with pytest.raises(scipy.linalg.LinAlgError):
+        solve_tridiagonal(np.array([1.0, 1.0]), np.array([1.0]), np.ones(2))
+    good = (np.array([2.0, 3.0, 4.0]), np.array([1.0, 1.0]), np.ones(3))
+    for i in range(3):
+        for bad in (np.inf, np.nan):
+            args = [a.copy() for a in good]
+            args[i][0] = bad
+            with pytest.raises(ValueError):
+                solve_tridiagonal(*args)
+    assert np.array_equal(solve_tridiagonal(np.array([2.0]), np.empty(0), np.array([3.0])), [1.5])
+    assert np.array_equal(solve_tridiagonal(np.array([4.0]), np.empty(0), np.ones((1, 2))),
+                          [[0.25, 0.25]])

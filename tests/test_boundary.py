@@ -1,5 +1,6 @@
 """Discretized interval problems: assembly, spectra, the boundary index
 split, mean-zero weak index, mesh refinement stability."""
+import json
 import math
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from morsekit import boundary, harness
+from morsekit import bilinear, boundary, harness
 from morsekit.bilinear import (
     Factorization,
     Inertia,
@@ -546,6 +547,34 @@ def test_interval_oracle_matches_the_dense_restriction():
         seen["empty"] += want.dim == 0
         seen["rank_deficient"] += want.dim > prob.n_nodes - F.shape[0]
     assert min(seen.values()) >= 3, seen
+
+
+def test_interval_oracle_does_not_share_the_predictor_count(monkeypatch, count_calls):
+    # the oracle counts the bordered pencil by its own recurrence; the
+    # predictor's factorizations count in LAPACK and never reach it
+    bordered = []
+    recurrence = bilinear.sturm_negatives
+
+    def oracle_count(diag, off, border=None):
+        bordered.append(border.shape)
+        return recurrence(diag, off, border)
+
+    def refuse(*_):
+        raise AssertionError("a factorization counted with the oracle's recurrence")
+
+    monkeypatch.setattr(boundary, "sturm_negatives", oracle_count)
+    monkeypatch.setattr(bilinear, "sturm_negatives", refuse)
+    lapack = count_calls(bilinear, "tridiagonal_negatives")
+    rng = np.random.default_rng(15)
+    doc = {"kind": "pde", "domain": {"a": 0.0, "b": 1.0, "n_elements": 256},
+           "p": {"polynomial": [60.0, -20.0, 35.0]}, "q_a": 0.4, "q_b": 1.3,
+           "constraints": [list(rng.uniform(-1.0, 1.0, 257)) for _ in range(2)],
+           "checks": ["decomposition", "weak_index"]}
+    report = harness.run(harness.parse_problem(json.dumps(doc)))
+    # harness.run turns the refusal into the report's error
+    assert report.error is None and report.payloads["weak"].agreement
+    assert bordered == [(257, 2)] * 4
+    assert len(lapack) > 20
 
 
 def _near_zero_agrees(pair, w, scale):

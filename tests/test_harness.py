@@ -459,14 +459,27 @@ def test_fuzz_validations():
         fuzz(seed=0, trials=-1)
     with pytest.raises(ValidationError):
         fuzz(seed=0, trials=1, dim_max=1)
-    with pytest.raises(ValidationError):
-        fuzz(seed=0, trials=1, dim_max=20, backend="exact")
+    with pytest.raises(ValidationError, match="capped at dim_max = 32"):
+        fuzz(seed=0, trials=1, dim_max=33, backend="exact")
     with pytest.raises(ValidationError):
         fuzz(seed=0, trials=1, backend="sympy")
     with pytest.raises(ValidationError):
         fuzz(seed=0, trials=1, dim_max=6, k_choices=(1,))
     with pytest.raises(ValidationError):
         fuzz(seed=0, trials=1, dim_max=6, k_choices=(9,))
+
+
+def test_fuzz_exact_campaign_at_the_dimension_cap():
+    report = fuzz(seed=3, trials=30, dim_max=32)
+    summary = report.payloads["summary"]
+    assert report.passed
+    assert summary["agreements"] == 30 and summary["disagreements"] == []
+    # |B| <= 300 and |L| <= 5 keep A = B^T L B below 32 * 5 * 300^2, exact
+    # in int64 and float64
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        B = random_unimodular(rng, 32)
+        assert np.abs(B.T @ (5 * B)).max() <= 32 * 5 * 300 ** 2 < 2 ** 53
 
 
 _PINNED_CAMPAIGNS = [
