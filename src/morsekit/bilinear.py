@@ -153,8 +153,9 @@ def _check_symmetric(matrix: np.ndarray, tol: Tolerances, what: str) -> None:
 def _eigh(matrix: np.ndarray, gram: np.ndarray | None = None, vectors: bool = True):
     """(eigenvalues, eigenvectors) via LAPACK, wrapped in our error type;
     the eigenvectors are None, and not computed, when ``vectors`` is false.
-    The two LAPACK paths round differently, so a caller that prints
-    eigenvalues must keep to one of them."""
+    The two LAPACK paths round differently: forms are factored with
+    vectors, and the values-only path serves the dense spectra of
+    :mod:`morsekit.boundary` alone."""
     if matrix.shape[0] == 0:
         return np.empty(0), (np.empty((0, 0)) if vectors else None)
     try:
@@ -264,7 +265,8 @@ class SymmetricForm:
     """Bilinear form S(u, v) = u^T A v with symmetric A on a given space.
 
     ``factored`` caches the form's one factorization (see :func:`factor`);
-    a caller that already holds the pencil's eigenvalues may pass them in.
+    a caller that already holds it, a :class:`Factorization` with its
+    eigenvectors or a :class:`SturmFactorization`, may pass it in.
     The matrix is shared with float64 input (see :func:`as_backend_matrix`).
     """
 
@@ -339,12 +341,11 @@ class Factorization:
     Floating backend: eigenpairs of the pencil (matrix, gram), columns
     gram-orthonormal.  Exact backend: an invertible C with
     C^T A C = diag(values), so the zero columns span the kernel of A.
-    ``vectors`` is None when only the eigenvalues were kept.  ``scale``
-    (floating) is the spectral radius that sets the zero band.
+    ``scale`` (floating) is the spectral radius that sets the zero band.
     """
 
     values: np.ndarray
-    vectors: np.ndarray | None = None
+    vectors: np.ndarray
     scale: float | None = None
 
     def __post_init__(self):
@@ -755,7 +756,7 @@ def inertia(form: SymmetricForm, tol: Tolerances | None = None) -> Inertia:
     non-Euclidean spaces).
     """
     tol = tol or form.space.tol
-    return factor(form, vectors=False).inertia(tol)
+    return factor(form).inertia(tol)
 
 
 def morse_index(form: SymmetricForm, tol: Tolerances | None = None) -> int:
@@ -774,27 +775,22 @@ def _is_identity(g: np.ndarray) -> bool:
             and bool(np.all(np.diagonal(g) == 1.0)))
 
 
-def factor(form: SymmetricForm, vectors: bool = True) -> Factorization | SturmFactorization:
+def factor(form: SymmetricForm) -> Factorization | SturmFactorization:
     """The form's factorization, computed once and kept on the form: one
-    ``_eigh`` on the floating backend, one congruence diagonalization on
-    the exact backend, a :class:`SturmFactorization` for a tridiagonal
-    pencil.  With ``vectors`` false a dense floating form is solved for
-    its eigenvalues alone, which is all its counts and zero band read; a
-    factorization without vectors is solved again when vectors are asked
-    for."""
+    ``_eigh`` with eigenvectors on the floating backend, one congruence
+    diagonalization on the exact backend, a :class:`SturmFactorization`
+    for a tridiagonal pencil.  Counts, zero band, duals and witnesses all
+    read it, so a form is never solved twice."""
     fac = form.factored
-    if isinstance(form.matrix, Tridiagonal):
-        if fac is None:
+    if fac is None:
+        if isinstance(form.matrix, Tridiagonal):
             fac = SturmFactorization(form.matrix, form.space.gram, form.parent_scale)
-            object.__setattr__(form, "factored", fac)
-        return fac
-    if fac is None or (vectors and fac.vectors is None):
-        if form.exact:
+        elif form.exact:
             C, diag = exactla.congruence_diagonalize(form.matrix)
             fac = Factorization(np.array(diag, dtype=object), C)
         else:
             gram = None if _is_identity(form.space.gram) else form.space.gram
-            fac = Factorization(*_eigh(form.matrix, gram, vectors), scale=form.parent_scale)
+            fac = Factorization(*_eigh(form.matrix, gram), scale=form.parent_scale)
         object.__setattr__(form, "factored", fac)
     return fac
 
@@ -854,14 +850,40 @@ def restrict(form: SymmetricForm, constraints,
              tol: Tolerances | None = None) -> SymmetricForm:
     """The form pulled back to the joint kernel of the constraints.
 
-    This is the brute-force oracle every theorem-based prediction is
-    checked against: inertia of the restricted matrix B^T A B, where the
-    columns of B span the kernel.  Restricting by a full set of
-    constraints yields the empty form on the zero-dimensional space.
+    Its inertia, that of B^T A B where the columns of B span the kernel,
+    is the dense route of the oracle (``restricted_inertia``) every
+    theorem-based prediction is checked against.  Restricting by a full
+    set of constraints yields the empty form on the zero-dimensional space.
     """
     tol = tol or form.space.tol
     sub = kernel_intersection(form.space, constraints, tol)
     return restrict_to(form, sub)
+
+
+def restricted_inertia(form: SymmetricForm, constraints,
+                       tol: Tolerances | None = None) -> Inertia:
+    """The oracle: the inertia of the form on the joint kernel of the
+    constraints, counted apart from every prediction.  A dense form is
+    restricted (``restrict``) and its B^T A B factored.  A tridiagonal
+    pencil (A, G) is bordered instead: for C an orthonormal basis of the
+    constraints by the rank rule of ``kernel_intersection`` (r columns),
+    [[A - s G, C], [C^T, 0]] has r + #(lambda < s) negative eigenvalues,
+    lambda running over the constrained pencil (Haynsworth), which
+    ``sturm_negatives`` counts in O(n) per row against the form's band."""
+    tol = tol or form.space.tol
+    if not isinstance(form.matrix, Tridiagonal):
+        return inertia(restrict(form, constraints, tol), tol)
+    F = np.array(constraints, dtype=float).reshape(len(constraints), form.dim)
+    Q, r = float_row_split(F, tol, "economic")
+    C = Q[:, :r]
+    dim = form.dim - r
+    if dim == 0:
+        return Inertia(0, 0, 0)
+
+    def below(s: float) -> int:
+        return sturm_negatives(*form.matrix.shifted(s, form.space.gram), C) - r
+
+    return counted_inertia(below, dim, factor(form).band(tol), tol)
 
 
 def restrict_to(form: SymmetricForm, sub: Subspace) -> SymmetricForm:
@@ -877,7 +899,7 @@ def restrict_to(form: SymmetricForm, sub: Subspace) -> SymmetricForm:
     child = SymmetricForm(InnerProductSpace(G2, form.space.tol), A2)
     if not form.exact:
         # the rounding error of B^T A B scales with A, so A's band is kept
-        object.__setattr__(child, "parent_scale", factor(form, vectors=False).scale)
+        object.__setattr__(child, "parent_scale", factor(form).scale)
     return child
 
 
@@ -886,7 +908,7 @@ def rayleigh(form: SymmetricForm, u, tol: Tolerances | None = None):
     quotient lies in the band.  Floating u is scaled to unit largest entry
     first, so no square of a huge or tiny vector is formed."""
     u = as_backend_vector(u, form.exact)
-    band = 0 if form.exact else factor(form, vectors=False).band(tol or form.space.tol)
+    band = 0 if form.exact else factor(form).band(tol or form.space.tol)
     if not np.any(u):
         return 0, band
     if not form.exact:
@@ -916,12 +938,10 @@ def maximal_negative_subspace_through(form: SymmetricForm, u,
     """
     tol = tol or form.space.tol
     u = as_backend_vector(u, form.exact)
-    # factored with vectors before rayleigh reads its band
-    fac = factor(form)
     quotient, band = rayleigh(form, u, tol)
     if not quotient < -band:
         raise NotNegativeDirection("S(u, u) must be negative beyond the zero band")
-    vecs = list(fac.split(tol)[0].T)
+    vecs = list(factor(form).split(tol)[0].T)
     k = len(vecs)
     # the S-projection of u onto span(c_i) has square sum(w_i^2 / d_i),
     # which is <= S(u, u) < 0, so some pairing w_j = S(u, c_j) is nonzero

@@ -18,10 +18,10 @@ eigenvalues nearest zero by bisection, and the boundary Schur complement
 by one banded solve, all O(n) per shift.  The weak index, Q on the
 kernel of the volume functional or of explicit constraints, is predicted
 from the Robin factorization, whose banded solves give the duals.  Its
-oracle takes another route and another count: the counts of the
-restricted pencil come from the hand-written LDL^T recurrence
-(``sturm_negatives``) of the pencil bordered by the constraints, instead
-of a dense restriction B^T A B.
+oracle is ``bilinear.restricted_inertia``, which counts a tridiagonal
+form on another route with another count: the hand-written LDL^T
+recurrence (``sturm_negatives``) of the pencil bordered by the
+constraints, instead of a dense restriction B^T A B.
 ``robin_spectrum`` and ``dirichlet_spectrum`` stay as the dense O(n^3)
 reference.
 """
@@ -35,16 +35,12 @@ import numpy as np
 import scipy.linalg
 
 from .bilinear import (
-    Inertia,
     InnerProductSpace,
     SturmFactorization,
     SymmetricForm,
     Tridiagonal,
     _eigh,
-    counted_inertia,
-    float_row_split,
     solve_tridiagonal,
-    sturm_negatives,
 )
 from .constraints import ConstrainedReport, Functional, analyze, as_functional
 from .errors import (
@@ -297,19 +293,13 @@ def steklov_spectrum(problem: AssembledProblem,
     Requires a nonsingular clamped operator (no Dirichlet eigenvalue
     inside the zero band) and at least one positive boundary weight.
     b is always the negative inertia of T - D_B; when both weights are
-    positive this equals the number of pencil eigenvalues below 1.
+    positive this equals the number of pencil eigenvalues below 1.  The
+    clamped inertia is counted in the band of the Robin pencil.
     """
-    return _steklov(problem, problem.dirichlet_factorization.inertia(tol), tol)
-
-
-def _steklov(problem: AssembledProblem, clamped: Inertia,
-             tol: Tolerances) -> SteklovResult:
-    """steklov_spectrum given the clamped pencil's inertia in the band of
-    the Robin pencil."""
     q_a, q_b = problem.coeffs.q_a, problem.coeffs.q_b
     if q_a + q_b <= 0:
         raise ZeroBoundaryWeight("both boundary weights vanish")
-    if clamped.zero:
+    if problem.dirichlet_factorization.inertia(tol).zero:
         raise DegenerateDirichletKernel(
             "a Dirichlet eigenvalue sits in the zero band; the boundary "
             "reduction is singular at this potential")
@@ -349,7 +339,7 @@ def verify_decomposition(problem: AssembledProblem,
     full = robin.inertia(tol)
     d = clamped.inertia(tol)
     a = d.negative + d.zero
-    stek = _steklov(problem, d, tol)
+    stek = steklov_spectrum(problem, tol)
     return SpectrumReport(
         robin_near_zero=robin.near_zero(),
         dirichlet_near_zero=clamped.near_zero(),
@@ -374,8 +364,8 @@ def weak_index(problem: AssembledProblem, constraint="volume",
     kernel of one functional or a list of them, predicted and
     oracle-checked.  The form holds the Robin bands and their cached
     factorization, which gives the full-form counts and the banded dual
-    solves; the oracle is counted on the bordered pencil by
-    :func:`_interval_oracle`."""
+    solves; being tridiagonal, it has its oracle counted on the bordered
+    pencil (``bilinear.restricted_inertia``)."""
     form = SymmetricForm(InnerProductSpace(problem.M_band, tol), problem.Q_band,
                          problem.robin_factorization)
     if isinstance(constraint, str):
@@ -386,34 +376,7 @@ def weak_index(problem: AssembledProblem, constraint="volume",
         phis = [as_functional(p, exact=False) for p in constraint]
     else:
         phis = [as_functional(constraint, exact=False)]
-    F = np.array([p.coeffs for p in phis]).reshape(len(phis), problem.n_nodes)
-    return analyze(form, phis, tol, oracle=_interval_oracle(problem, F, tol))
-
-
-def _interval_oracle(problem: AssembledProblem, F: np.ndarray,
-                     tol: Tolerances) -> Inertia:
-    """Inertia of the Robin pencil on the joint kernel of the rows of F,
-    with the counts and marginal flag of ``inertia(restrict(form, F))``,
-    in O(n) per row of F instead of a dense restriction and eigensolve.
-
-    C, an orthonormal basis of F's row space, comes from the rank rule
-    of ``kernel_intersection``, so Ker C^T is the space the dense oracle
-    restricts to.  By Haynsworth's inertia additivity the bordered matrix
-    [[Q - s M, C], [C^T, 0]] has r + #(lambda < s) negative eigenvalues,
-    lambda running over the constrained pencil, and its LDL^T with the
-    border last counts them (``sturm_negatives``); ``counted_inertia``
-    reads the counts against the Robin pencil's zero band.
-    """
-    Q, r = float_row_split(F, tol, "economic")
-    C = Q[:, :r]
-    dim = problem.n_nodes - r
-    if dim == 0:
-        return Inertia(0, 0, 0)
-
-    def below(s: float) -> int:
-        return sturm_negatives(*problem.Q_band.shifted(s, problem.M_band), C) - r
-
-    return counted_inertia(below, dim, problem.robin_factorization.band(tol), tol)
+    return analyze(form, phis, tol)
 
 
 def refine_and_check(problem: AssembledProblem, levels,

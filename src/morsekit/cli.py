@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -15,12 +16,21 @@ from .harness import fuzz, parse_problem, report_to_json, report_to_text, run
 from .tolerances import DEFAULT
 
 
+def positive_float(text: str) -> float:
+    """A tolerance flag's value, positive and finite as the problem
+    schema's tolerances are."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report rendering (default json)")
-    parser.add_argument("--tol-null", type=float, default=None, metavar="X",
+    parser.add_argument("--tol-null", type=positive_float, default=None, metavar="X",
                         help="override the relative zero-band width")
-    parser.add_argument("--tol-residual", type=float, default=None, metavar="X",
+    parser.add_argument("--tol-residual", type=positive_float, default=None, metavar="X",
                         help="override the range-cosine cutoff: a functional whose "
                              "cosine with the band kernel exceeds X is out of range")
 
@@ -64,9 +74,8 @@ def _emit(report, fmt: str) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    tol = DEFAULT.with_overrides(null_band=args.tol_null,
-                                 residual=args.tol_residual)
     try:
+        problem = None
         if args.command in ("analyze", "pde"):
             text = Path(args.file).read_text(encoding="utf-8")
             problem = parse_problem(text)
@@ -75,10 +84,10 @@ def main(argv=None) -> int:
                 raise ValidationError(
                     f"{args.command} expects a problem of kind {expected!r}, "
                     f"got {problem.kind!r}")
-            if args.tol_null is not None or args.tol_residual is not None:
-                problem = dataclasses.replace(problem, tol=problem.tol.with_overrides(
-                    null_band=args.tol_null, residual=args.tol_residual))
-            report = run(problem)
+        tol = (DEFAULT if problem is None else problem.tol).with_overrides(
+            null_band=args.tol_null, residual=args.tol_residual)
+        if problem is not None:
+            report = run(dataclasses.replace(problem, tol=tol))
         else:
             k_choices = None
             if args.k:

@@ -8,8 +8,8 @@ the duals of a basis of Phi_R (compare Maddocks' restricted quadratic
 forms, 1985).  On the joint kernel the Morse index is mi - (neg + zero)(M)
 and the nullity null + zero(M) - (k - k0); for one constraint that is its
 ``BRANCH_EFFECT`` entry by the sign of phi(u).  ``analyze`` checks every
-prediction against the brute-force restriction oracle of
-:mod:`morsekit.bilinear` and reports whether they agree.
+prediction against the restriction oracle of :mod:`morsekit.bilinear`
+(``restricted_inertia``) and reports whether they agree.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import exactla
 from .bilinear import (
-    Inertia,
     InnerProductSpace,
     Subspace,
     SymmetricForm,
@@ -28,8 +27,8 @@ from .bilinear import (
     float_row_split,
     inertia,
     rayleigh,
-    restrict,
     restrict_to,
+    restricted_inertia,
 )
 from .errors import (
     DependentConstraints,
@@ -310,35 +309,24 @@ def diagonalize_duals(form: SymmetricForm, duals,
     return [out[:, i] for i in range(out.shape[1])]
 
 
-def analyze(form: SymmetricForm, constraints, tol: Tolerances | None = None,
-            oracle: Inertia | None = None) -> ConstrainedReport:
+def analyze(form: SymmetricForm, constraints,
+            tol: Tolerances | None = None) -> ConstrainedReport:
     """Run predictions and the restriction oracle side by side.
 
     Every constraint set is predicted by the module's formula: one nonzero
     constraint by its ``BRANCH_EFFECT`` entry, independent in-range ones by
     the pairing of their own duals, any other set by the duals of a basis
     of Phi_R (``_range_duals``).  Predicted counts no form can have raise
-    ImpossibleCounts.
-
-    ``oracle`` is the inertia of the form on the joint kernel of the
-    constraints when the caller can count it on a cheaper route than the
-    dense restriction (``boundary.weak_index`` counts its tridiagonal
-    pencil); by default it is ``inertia(restrict(form, constraints))``.
-    Either way it is counted apart from the predictor.
+    ImpossibleCounts.  The oracle is ``restricted_inertia``, which the
+    form's representation routes, counted apart from the predictor.
     """
     tol = tol or form.space.tol
     phis = [as_functional(p, form.exact) for p in constraints]
-    # the full form is factored with its vectors, which every dual solve
-    # reads; a values-only factorization passed in gives the counts, and
-    # the first dual solve solves the form again with vectors
-    if form.factored is None:
-        factor(form)
     full = inertia(form, tol)
     warnings: list[str] = []
     if full.marginal:
         warnings.append("full spectrum has marginal eigenvalues")
-    if oracle is None:
-        oracle = inertia(restrict(form, [p.coeffs for p in phis], tol), tol)
+    oracle = restricted_inertia(form, [p.coeffs for p in phis], tol)
     if oracle.marginal:
         warnings.append("restricted spectrum has marginal eigenvalues")
 

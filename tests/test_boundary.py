@@ -18,6 +18,7 @@ from morsekit.bilinear import (
     _eigh,
     inertia,
     restrict,
+    restricted_inertia,
 )
 from morsekit.constraints import analyze, solve_dual
 from morsekit.boundary import (
@@ -490,7 +491,7 @@ def test_weak_index_form_holds_the_assembled_matrices(monkeypatch):
     prob = problem(0.0, 1.0, 16, Constant(3.0))
     seen = []
     monkeypatch.setattr(boundary, "analyze",
-                        lambda form, phis, tol, oracle=None: seen.append(form))
+                        lambda form, phis, tol: seen.append(form))
     weak_index(prob)
     assert seen[0].matrix is prob.Q_band
     assert seen[0].space.gram is prob.M_band
@@ -538,10 +539,12 @@ def test_interval_oracle_matches_the_dense_restriction():
     seen = {"marginal": 0, "zero": 0, "empty": 0, "rank_deficient": 0}
     for case in range(300):
         prob, F = _oracle_case(rng, ("constant", "polynomial", "nodal")[case % 3])
-        form = SymmetricForm(InnerProductSpace(prob.Mmass), prob.Qmat,
-                             prob.robin_factorization)
-        want = inertia(restrict(form, list(F)), DEFAULT)
-        assert boundary._interval_oracle(prob, F, DEFAULT) == want, (case, F.shape)
+        dense = SymmetricForm(InnerProductSpace(prob.Mmass), prob.Qmat,
+                              prob.robin_factorization)
+        want = inertia(restrict(dense, list(F)), DEFAULT)
+        banded = SymmetricForm(InnerProductSpace(prob.M_band), prob.Q_band,
+                               prob.robin_factorization)
+        assert restricted_inertia(banded, list(F), DEFAULT) == want, (case, F.shape)
         seen["marginal"] += want.marginal
         seen["zero"] += want.zero > 0
         seen["empty"] += want.dim == 0
@@ -556,14 +559,12 @@ def test_interval_oracle_does_not_share_the_predictor_count(monkeypatch, count_c
     recurrence = bilinear.sturm_negatives
 
     def oracle_count(diag, off, border=None):
+        if border is None:
+            raise AssertionError("a factorization counted with the oracle's recurrence")
         bordered.append(border.shape)
         return recurrence(diag, off, border)
 
-    def refuse(*_):
-        raise AssertionError("a factorization counted with the oracle's recurrence")
-
-    monkeypatch.setattr(boundary, "sturm_negatives", oracle_count)
-    monkeypatch.setattr(bilinear, "sturm_negatives", refuse)
+    monkeypatch.setattr(bilinear, "sturm_negatives", oracle_count)
     lapack = count_calls(bilinear, "tridiagonal_negatives")
     rng = np.random.default_rng(15)
     doc = {"kind": "pde", "domain": {"a": 0.0, "b": 1.0, "n_elements": 256},

@@ -564,6 +564,20 @@ def test_exact_dual_in_range_needs_no_elimination(count_calls):
     assert rref == [] and solve_general == []
 
 
+def test_counts_then_dual_solve_a_dense_form_once(count_calls):
+    # the counts and the dual read one factorization with eigenvectors, so
+    # the form is solved once and its zero band does not move in between
+    rng = np.random.default_rng(20)
+    m, c = rng.standard_normal((2, 6, 6))
+    form = SymmetricForm.from_matrix(m + m.T, c.dot(c.T) + np.eye(6))
+    eigh = count_calls(bilinear, "_eigh")
+    inertia(form)
+    scale = form.factored.scale
+    assert solve_dual(form, rng.standard_normal(6)).in_range
+    assert len(eigh) == 1
+    assert bilinear.factor(form).scale == scale
+
+
 def test_empty_band_puts_every_functional_in_range():
     # a nonsingular float form has no band kernel: every cosine is 0
     rng = np.random.default_rng(5)

@@ -534,27 +534,42 @@ def test_fuzz_timing_absent_for_reproducibility():
 # ---------------------------------------------------------------------------
 # the benchmark's routing gate
 
-def _benchmark_targets() -> dict:
-    """``TARGETS`` of perfbench/tracer.py, a stdlib-only module, loaded
-    from its file without importing the benchmark package."""
+def _benchmark_tracer():
+    """perfbench/tracer.py, a stdlib-only module, loaded from its file
+    without importing the benchmark package."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_benchmark_targets_exist():
-    for mod, names in _benchmark_targets().items():
+    for mod, names in _benchmark_tracer().TARGETS.items():
         module = importlib.import_module(f"morsekit.{mod}")
         for name in names:
             assert callable(getattr(module, name, None)), f"morsekit.{mod}.{name}"
 
 
+def test_traced_pde_op_counts_one_steklov_spectrum_per_verify():
+    # the benchmark's own tracer, installed as a traced run installs it
+    tracer = _benchmark_tracer().Tracer()
+    tracer.install()
+    try:
+        assert all(tracer.sites.values()), tracer.sites
+        assert run(parse_problem(PDE_DECOMP_DOC)).error is None
+    finally:
+        tracer.uninstall()
+    calls = {layer: row[0] for layer, row in tracer.aggregate().items()}
+    assert calls["boundary.verify_decomposition"] == 1
+    assert calls["boundary.steklov_spectrum"] == 1
+    assert calls["bilinear._eigh"] == 0
+
+
 def test_exact_fuzz_runs_every_exactla_target_and_no_eigensolve(count_calls):
     # the benchmark refuses a fuzz-exact run in which any exactla target
     # never ran or _eigh ran
-    calls = {name: count_calls(exactla, name) for name in _benchmark_targets()["exactla"]}
+    calls = {name: count_calls(exactla, name) for name in _benchmark_tracer().TARGETS["exactla"]}
     eigh = count_calls(bilinear, "_eigh")
     assert fuzz(seed=42, trials=10).passed
     assert [name for name, seen in calls.items() if not seen] == []
@@ -562,7 +577,7 @@ def test_exact_fuzz_runs_every_exactla_target_and_no_eigensolve(count_calls):
 
 
 def test_float_fuzz_runs_no_exactla_target(count_calls):
-    calls = {name: count_calls(exactla, name) for name in _benchmark_targets()["exactla"]}
+    calls = {name: count_calls(exactla, name) for name in _benchmark_tracer().TARGETS["exactla"]}
     assert fuzz(seed=42, trials=10, backend="float").passed
     assert [name for name, seen in calls.items() if seen] == []
 
@@ -671,3 +686,28 @@ def test_cli_tolerance_override(tmp_path, capsys):
     wide = json.loads(capsys.readouterr().out)
     assert code in (0, 1)
     assert wide["payloads"]["constrained"]["mi_full"] == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "pde", "fuzz"])
+def test_cli_rejects_a_tolerance_flag_the_schema_refuses(tmp_path, capsys, command):
+    # diag(1, 0, -1) cut by (1, 1, 0) has index 1; a band of width -1 once
+    # counted 2 and still passed, and a nan band refused the identity gram
+    doc = {"kind": "abstract", "dim": 3, "backend": "float",
+           "form": [[1, 0, 0], [0, 0, 0], [0, 0, -1]], "constraints": [[1, 1, 0]]}
+    files = {"analyze": json.dumps(doc), "pde": PDE_DOC}
+    argv = [command]
+    if command == "fuzz":
+        argv += ["--seed", "3", "--trials", "2", "--backend", "float"]
+    else:
+        argv.append(_write(tmp_path, "prob.json", files[command]))
+    for flag in ("--tol-null", "--tol-residual"):
+        for value in ("-1", "0", "nan", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, value])
+            out = capsys.readouterr()
+            assert exc.value.code == 2
+            assert out.out == "" and flag in out.err
+    assert main(argv + ["--tol-null", "1e-9", "--tol-residual", "1e-8"]) == 0
+    if command == "analyze":
+        report = json.loads(capsys.readouterr().out)["payloads"]["constrained"]
+        assert report["mi_full"] == 1
