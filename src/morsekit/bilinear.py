@@ -30,7 +30,8 @@ from .errors import (
     NotPositiveDefinite,
     UnsupportedBackend,
 )
-from .tolerances import DEFAULT, Tolerances, classify_spectrum, spectral_radius, zero_band
+from .tolerances import (DEFAULT, Tolerances, classify_counts, classify_spectrum,
+                         spectral_radius, zero_band)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -168,28 +169,28 @@ def _eigh(matrix: np.ndarray, gram: np.ndarray | None = None, vectors: bool = Tr
 
 def _positive_definite(g: np.ndarray, tol: Tolerances) -> bool:
     """Whether the symmetric gram g is positive definite: every exact
-    congruence pivot is positive, or the smallest floating eigenvalue lies
-    above the zero band of the spectral radius."""
-    if g.shape[0] == 0:
+    congruence pivot is positive, or the zero-band rule
+    (``classify_counts``) counts every floating eigenvalue positive, so
+    the zero gram is refused."""
+    n = g.shape[0]
+    if n == 0:
         return True
     if isinstance(g, Tridiagonal):
         if _ldl_definite(g.diag - _clearing_shift(g, g.row_sum_norm(), tol), g.off):
             return True
-        fac = SturmFactorization(g, Tridiagonal.identity(g.shape[0]))
-        return fac.below(fac.band(tol)) == 0
+        return SturmFactorization(g, Tridiagonal.identity(n)).inertia(tol).positive == n
     d = np.diagonal(g)
     if np.count_nonzero(g) == np.count_nonzero(d):
         # a diagonal gram's eigenvalues are its diagonal
         if g.dtype == object:
             return all(x > 0 for x in d)
-        return bool(d.min() > zero_band(float(np.max(np.abs(d))), tol))
+        return classify_spectrum(d, tol)[2] == n
     if g.dtype == object:
         neg, zero, _ = exactla.inertia_counts(g)
         return not (neg or zero)
     if _cholesky_clears_band(g, tol):
         return True
-    w = np.linalg.eigvalsh(g)
-    return bool(w[0] > zero_band(spectral_radius(w), tol))
+    return classify_spectrum(np.linalg.eigvalsh(g), tol)[2] == n
 
 
 def _cholesky_clears_band(g: np.ndarray, tol: Tolerances) -> bool:
@@ -317,8 +318,8 @@ class SymmetricForm:
 @dataclass(frozen=True)
 class Inertia:
     """Sign counts of a symmetric form; marginal=True means some floating
-    eigenvalue sat close enough to the zero band edge that the counts
-    could move under tiny perturbations."""
+    eigenvalue sat close enough to zero (``classify_counts``) that the
+    counts could move under tiny perturbations."""
 
     negative: int
     zero: int
@@ -467,15 +468,6 @@ def tridiagonal_negatives(diag: np.ndarray, off: np.ndarray) -> int:
     return n - m
 
 
-def counted_inertia(below, dim: int, tau: float, tol: Tolerances) -> Inertia:
-    """The inertia of a pencil of dimension dim from ``below(s)``, its count
-    of eigenvalues below s: counts at -+tau, the zero band, and at -+(1 +
-    marginal_factor) tau for the flag of ``classify_spectrum``."""
-    edge = (1.0 + tol.marginal_factor) * tau
-    neg, up = below(-tau), below(tau)
-    return Inertia(neg, up - neg, dim - up, below(edge) - below(-edge) > 0)
-
-
 @dataclass(frozen=True, eq=False)
 class SturmFactorization:
     """A tridiagonal pencil (matrix, gram), gram positive definite,
@@ -581,11 +573,9 @@ class SturmFactorization:
         return zero_band(self.scale, tol)
 
     def inertia(self, tol: Tolerances) -> Inertia:
-        """The ``counted_inertia`` of the pencil."""
-        n = self.dim
-        if self.scale == 0.0:
-            return Inertia(0, n, 0, n > 0)
-        return counted_inertia(self.below, n, self.band(tol), tol)
+        """The zero-band rule (``classify_counts``) on the counts ``below``
+        at the pencil's scale; the zero pencil is all zero, and marginal."""
+        return Inertia(*classify_counts(self.below, self.dim, self.scale, tol))
 
     def eigenvalue(self, j: int) -> float:
         """Eigenvalue j in ascending order (from 0), bisected on counts to
@@ -876,14 +866,11 @@ def restricted_inertia(form: SymmetricForm, constraints,
     F = np.array(constraints, dtype=float).reshape(len(constraints), form.dim)
     Q, r = float_row_split(F, tol, "economic")
     C = Q[:, :r]
-    dim = form.dim - r
-    if dim == 0:
-        return Inertia(0, 0, 0)
 
     def below(s: float) -> int:
         return sturm_negatives(*form.matrix.shifted(s, form.space.gram), C) - r
 
-    return counted_inertia(below, dim, factor(form).band(tol), tol)
+    return Inertia(*classify_counts(below, form.dim - r, factor(form).scale, tol))
 
 
 def restrict_to(form: SymmetricForm, sub: Subspace) -> SymmetricForm:

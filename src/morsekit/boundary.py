@@ -48,7 +48,7 @@ from .errors import (
     InvalidCoefficients,
     ZeroBoundaryWeight,
 )
-from .tolerances import DEFAULT, Tolerances, classify_spectrum, spectral_radius, zero_band
+from .tolerances import DEFAULT, Tolerances, classify_spectrum, spectral_radius
 
 # 2-point Gauss offsets on the reference element [0, 1], weights 1/2 each
 _GAUSS_XI = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -316,7 +316,7 @@ def steklov_spectrum(problem: AssembledProblem,
         pos, free = (0, 1) if q_a > 0 else (1, 0)
         weight = q_a if q_a > 0 else q_b
         # T[free, free] is the Rayleigh quotient of T - D_B on that direction
-        if abs(T[free, free]) <= zero_band(spectral_radius(w), tol):
+        if classify_spectrum([T[free, free]], tol, spectral_radius(w))[1]:
             mu = (math.inf, math.inf)
             marginal = True
         else:

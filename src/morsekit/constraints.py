@@ -37,7 +37,7 @@ from .errors import (
     ImpossibleCounts,
     TrivialFunctional,
 )
-from .tolerances import Tolerances, near_band_edge
+from .tolerances import Tolerances, classify_spectrum
 
 
 # What one constraint does to the counts, by the branch its dual solve
@@ -147,10 +147,10 @@ def riesz(space: InnerProductSpace, phi) -> np.ndarray:
 
 def _marginal_cosines(cosines, what: str, tol: Tolerances) -> tuple[str, ...]:
     """A warning for each range cosine within a factor marginal_factor of
-    the floating cutoff ``tol.residual``, if that is positive."""
+    the floating cutoff ``tol.residual``."""
     cutoff, mf = tol.residual, tol.marginal_factor
     return tuple(f"range cosine {c:.3e} of {what} is marginal against cutoff {cutoff:.1e}"
-                 for c in cosines if cutoff and cutoff / mf <= c <= cutoff * mf)
+                 for c in cosines if cutoff / mf <= c <= cutoff * mf)
 
 
 def solve_dual(form: SymmetricForm, phi,
@@ -189,7 +189,8 @@ def solve_dual(form: SymmetricForm, phi,
 def decide(form: SymmetricForm, phi, tol: Tolerances | None = None) -> Decision:
     """Solve the dual of one nonzero constraint and look its effect up in
     ``BRANCH_EFFECT`` by the sign of phi(u) = S(u, u), or by the lack of
-    a dual."""
+    a dual.  On the floating backend the sign is the zero-band rule's
+    count of the Rayleigh quotient S(u, u) / <u, u>."""
     tol = tol or form.space.tol
     phi = as_functional(phi, form.exact)
     if phi.is_zero():
@@ -197,11 +198,12 @@ def decide(form: SymmetricForm, phi, tol: Tolerances | None = None) -> Decision:
     outcome = solve_dual(form, phi, tol)
     branch, marginal = "out_of_range", False
     if outcome.in_range:
-        val, band = outcome.phi_of_u, 0
+        val = outcome.phi_of_u
         if not form.exact:
-            val, band = rayleigh(form, outcome.u, tol)
-            marginal = bool(near_band_edge(val, band, tol))
-        branch = "zero" if abs(val) <= band else "negative" if val < 0 else "positive"
+            neg, _, pos, marginal = classify_spectrum([rayleigh(form, outcome.u, tol)[0]], tol,
+                                                      factor(form).scale)
+            val = pos - neg
+        branch = "zero" if val == 0 else "negative" if val < 0 else "positive"
     return Decision(branch, *BRANCH_EFFECT[branch], marginal, outcome)
 
 
@@ -314,11 +316,11 @@ def analyze(form: SymmetricForm, constraints,
     """Run predictions and the restriction oracle side by side.
 
     Every constraint set is predicted by the module's formula: one nonzero
-    constraint by its ``BRANCH_EFFECT`` entry, independent in-range ones by
-    the pairing of their own duals, any other set by the duals of a basis
-    of Phi_R (``_range_duals``).  Predicted counts no form can have raise
-    ImpossibleCounts.  The oracle is ``restricted_inertia``, which the
-    form's representation routes, counted apart from the predictor.
+    constraint by its ``BRANCH_EFFECT`` entry, any larger set by the
+    pairing of the duals of a basis of Phi_R (``_range_duals``).  Predicted
+    counts no form can have raise ImpossibleCounts.  The oracle is
+    ``restricted_inertia``, which the form's representation routes, counted
+    apart from the predictor.
     """
     tol = tol or form.space.tol
     phis = [as_functional(p, form.exact) for p in constraints]
@@ -342,9 +344,7 @@ def analyze(form: SymmetricForm, constraints,
         drop, change = decisions[0].drop, decisions[0].change
     elif decisions:
         basis = _row_space(form, [p.coeffs for p in nonzero], tol)
-        duals = [d.outcome.u for d in decisions]
-        if basis.shape[1] < len(decisions) or any(u is None for u in duals):
-            duals = _range_duals(form, basis, tol, warnings)
+        duals = _range_duals(form, basis, tol, warnings)
         change = len(duals) - basis.shape[1]
         if duals:
             multi = _joint_prediction(form, duals, tol)

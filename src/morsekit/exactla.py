@@ -233,10 +233,6 @@ def rref(matrix) -> tuple[list[list[int]], list[int]]:
     return R, pivots
 
 
-def rank(matrix) -> int:
-    return len(rref(matrix)[1])
-
-
 def nullspace(matrix) -> list[np.ndarray]:
     """Basis of Ker(matrix), one primitive integer vector per free column,
     with a positive entry at its free column."""

@@ -1,18 +1,23 @@
 """Tolerance policy for the floating backend.
 
-All zero tests share one band, tau = null_band * (spectral radius of the
-parent pencil), with no absolute floor, so scaling a form or a constraint
-moves no count.  Restrictions of the parent inherit its band: by Cauchy
-interlacing their spectra lie inside the parent's, and their rounding error
-scales with the parent.  A direction u is isotropic when |S(u, u)| <= tau *
-<u, u>.  Values close to the band edge are flagged as marginal instead of
-silently classified.  The exact backend never consults these numbers.
+Every floating count goes through one rule, ``classify_counts``: with
+tau = null_band * (spectral radius of the parent pencil), the eigenvalues
+below -tau are negative, those in the band zero, and any within
+(1 + marginal_factor) * tau of zero flags the counts marginal rather than
+trusted.  With no absolute floor, scaling a form or a
+constraint moves no count.  Restrictions of the parent inherit its band: by
+Cauchy interlacing their spectra lie inside the parent's, and their
+rounding error scales with the parent.  The exact backend never consults
+these numbers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -28,6 +33,15 @@ class Tolerances:
     symmetry: float = 1e-12
     # values within this factor of a decision edge are marginal
     marginal_factor: float = 10.0
+
+    def __post_init__(self):
+        for name in ("null_band", "residual", "rank", "symmetry"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+        mf = self.marginal_factor
+        if not mf >= 1:
+            raise ValidationError(f"marginal_factor must be at least 1, got {mf!r}")
 
     def with_overrides(self, **kwargs) -> "Tolerances":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
@@ -46,24 +60,25 @@ def zero_band(scale: float, tol: Tolerances) -> float:
     return tol.null_band * scale
 
 
-def near_band_edge(values, tau: float, tol: Tolerances) -> np.ndarray:
-    """True where a value's distance to the nearest band edge (+tau or
-    -tau) is at most marginal_factor * tau; every value inside the band is
-    therefore marginal as well, since a true zero cannot be told apart from
-    a small nonzero at working precision."""
-    return np.abs(np.abs(values) - tau) <= tol.marginal_factor * tau
+def classify_counts(below, dim: int, scale: float,
+                    tol: Tolerances) -> tuple[int, int, int, bool]:
+    """(negative, zero, positive, marginal) of dim values whose count below
+    s is ``below(s)``, from the counts at -+tau, tau the ``zero_band`` of
+    scale, and at -+(1 + marginal_factor) tau.  A nonempty spectrum of
+    scale 0 is all zero, and marginal."""
+    if scale == 0.0 or dim == 0:
+        return 0, dim, 0, dim > 0
+    tau = zero_band(scale, tol)
+    edge = (1.0 + tol.marginal_factor) * tau
+    neg, up = below(-tau), below(tau)
+    return neg, up - neg, dim - up, below(edge) - below(-edge) > 0
 
 
-def classify_spectrum(eigenvalues: np.ndarray, tol: Tolerances,
+def classify_spectrum(eigenvalues, tol: Tolerances,
                       scale: float | None = None) -> tuple[int, int, int, bool]:
-    """Counts (negative, zero, positive) plus a marginal flag, raised when
-    some eigenvalue is ``near_band_edge``.  ``scale`` is the parent's
-    spectral radius, by default the spectrum's own.
-    """
+    """``classify_counts`` of a list of values, counted closed at positive
+    shifts, so the zero band is [-tau, tau].  ``scale`` is the parent's
+    spectral radius, by default the values' own."""
     w = np.asarray(eigenvalues, dtype=float)
-    tau = zero_band(spectral_radius(w) if scale is None else scale, tol)
-    neg = int(np.sum(w < -tau))
-    zero = int(np.sum(np.abs(w) <= tau))
-    pos = int(w.size) - neg - zero
-    marginal = bool(np.any(near_band_edge(w, tau, tol)))
-    return neg, zero, pos, marginal
+    return classify_counts(lambda s: int(np.count_nonzero(w < s if s < 0 else w <= s)),
+                           w.size, spectral_radius(w) if scale is None else scale, tol)

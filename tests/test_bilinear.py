@@ -61,6 +61,15 @@ def test_space_rejects_indefinite_gram():
         InnerProductSpace(exactla.frac_matrix([[0, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_space_rejects_the_zero_gram(n):
+    # a spectrum of scale 0 counts all zero, dense or tridiagonal
+    with pytest.raises(NotPositiveDefinite):
+        InnerProductSpace(Tridiagonal(np.zeros(n), np.zeros(n - 1)))
+    with pytest.raises(NotPositiveDefinite):
+        InnerProductSpace(np.zeros((n, n)))
+
+
 def _eigenvalue_rule(g):
     # the dense rule a floating gram is judged by: its smallest eigenvalue
     # lies above the zero band of its spectral radius

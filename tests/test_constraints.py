@@ -509,6 +509,16 @@ def test_span_cosine_near_the_cutoff_is_warned():
             in rep.warnings)
 
 
+def test_constraints_in_range_whose_span_meets_the_kernel():
+    # each constraint meets Ker A = span(e2) at a cosine of 5e-9, inside the
+    # cutoff, but their span holds e2 itself: Phi_R = span(e1), so the
+    # nullity falls and the index stays, as on Ker f1 and f2 = span(e3)
+    form = SymmetricForm.from_matrix(np.diag([1.0, 0.0, -1.0]))
+    rep = analyze(form, [np.array([1.0, 5e-9, 0.0]), np.array([1.0, -5e-9, 0.0])])
+    assert (rep.mi_constrained_predicted, rep.nullity_constrained_predicted) == (1, 0)
+    assert rep.agreement
+
+
 def test_analyze_float_backend_report():
     form = SymmetricForm.from_matrix(np.diag([-1.0, 1.0]))
     rep = analyze(form, [np.array([1.0, 0.0])])

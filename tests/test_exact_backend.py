@@ -101,7 +101,7 @@ def test_exact_outputs_are_exact_and_satisfy_their_identities(problem):
     assert all(type(x) is int for x in C.flat)
     D = C.T.dot(A.dot(C))
     assert all(D[i, j] == (values[i] if i == j else 0) for i in range(n) for j in range(n))
-    assert exactla.rank(C) == n
+    assert len(exactla.rref(C)[1]) == n
     fac = factor(form)
     assert is_exact(fac.values) and is_exact(fac.vectors)
 
@@ -110,8 +110,8 @@ def test_exact_outputs_are_exact_and_satisfy_their_identities(problem):
     assert is_exact(sub.basis)
     F = np.stack(fs)
     assert _zero(F.dot(sub.basis))
-    assert sub.dim == n - exactla.rank(F)
-    assert exactla.rank(sub.basis.T) == sub.dim
+    assert sub.dim == n - len(exactla.rref(F)[1])
+    assert len(exactla.rref(sub.basis.T)[1]) == sub.dim
 
     for f in fs:
         out = solve_dual(form, f)
@@ -157,7 +157,7 @@ def test_exact_outputs_are_exact_and_satisfy_their_identities(problem):
     assert is_exact(basis)
     assert all(form.evaluate(basis[i], basis[j]) == 0
                for i in range(k) for j in range(k) if i != j)
-    assert exactla.rank(np.stack(duals + basis)) == k
+    assert len(exactla.rref(np.stack(duals + basis))[1]) == k
 
 
 @PROPERTY
@@ -232,11 +232,11 @@ def test_counts_match_sympy():
         ours = exactla.frac_matrix(A)
         assert exactla.inertia_counts(ours) == _sympy_inertia(M), trial
         rank = M.to_DM().rank()
-        assert exactla.rank(ours) == rank, trial
+        assert len(exactla.rref(ours)[1]) == rank, trial
         assert len(exactla.nullspace(ours)) == n - rank, trial
         # a wide constraint matrix: its rows are the first k rows of A
         k = rng.randint(1, n)
-        assert exactla.rank(ours[:k]) == M[:k, :].to_DM().rank(), trial
+        assert len(exactla.rref(ours[:k])[1]) == M[:k, :].to_DM().rank(), trial
 
 
 def test_numpy_integers_are_eliminated_as_python_ints():

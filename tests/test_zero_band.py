@@ -2,6 +2,7 @@
 invariances (scaling the form, rescaling a constraint, congruence,
 reordering constraints), float counts agree with exact ones unless a
 warning flags them marginal, and impossible predictions raise."""
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,16 +13,19 @@ from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
 from morsekit import (
+    DEFAULT,
     InnerProductSpace,
     SymmetricForm,
+    Tolerances,
     analyze,
+    inertia,
     maximal_negative_subspace_through,
     morse_index,
     s_project,
 )
 from morsekit import constraints
 from morsekit.constraints import BRANCH_EFFECT, Decision
-from morsekit.errors import ImpossibleCounts, NonSymmetric
+from morsekit.errors import ImpossibleCounts, NonSymmetric, NotPositiveDefinite, ValidationError
 from morsekit.harness import random_unimodular
 
 # deterministic examples, and no example database written to disk
@@ -189,3 +193,34 @@ def test_single_direction_tests_at_small_scale():
     assert np.allclose(out, [3.0, 0.0, 0.0])
     sub = maximal_negative_subspace_through(form, np.array([1.0, 1.0, 0.0]))
     assert sub.dim == morse_index(form) == 2
+
+
+def test_values_on_the_band_edges():
+    # eigh returns a diagonal's entries exactly, and scale 1 gives tau = 1e-9
+    # exactly: the band [-tau, tau] and the marginal window [-11 tau, 11 tau]
+    # are closed
+    for d, counts in (([1.0, 1e-9], (0, 1, 1)), ([1.0, -1e-9], (0, 1, 1)),
+                      ([1.0, 11 * 1e-9], (0, 0, 2))):
+        got = inertia(SymmetricForm.from_matrix(np.diag(d)))
+        assert (got.counts, got.marginal) == (counts, True), d
+    with pytest.raises(NotPositiveDefinite):
+        InnerProductSpace(np.diag([1.0, 1e-9]))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("null_band", -1.0), ("null_band", 0.0), ("residual", math.inf), ("rank", math.nan),
+    ("symmetry", -1e-12), ("marginal_factor", 0.5), ("marginal_factor", math.nan)])
+def test_invalid_tolerances_raise(name, value):
+    with pytest.raises(ValidationError, match=name):
+        Tolerances(**{name: value})
+    with pytest.raises(ValidationError, match=name):
+        DEFAULT.with_overrides(**{name: value})
+
+
+def test_negative_band_is_refused_before_it_counts():
+    # with null_band = -1 nothing would be zero: diag(1, 0, -1) would report
+    # a Morse index of 2
+    with pytest.raises(ValidationError):
+        analyze(SymmetricForm.from_matrix(np.diag([1.0, 0.0, -1.0]),
+                                          tol=Tolerances(null_band=-1.0)),
+                [np.array([1.0, 1.0, 0.0])])
