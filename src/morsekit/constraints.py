@@ -30,13 +30,7 @@ from .bilinear import (
     restrict_to,
     restricted_inertia,
 )
-from .errors import (
-    DependentConstraints,
-    DependentInput,
-    FunctionalNotInRange,
-    ImpossibleCounts,
-    TrivialFunctional,
-)
+from .errors import DependentInput, ImpossibleCounts, TrivialFunctional
 from .tolerances import Tolerances, classify_spectrum
 
 
@@ -113,13 +107,15 @@ class Decision:
 
 @dataclass(frozen=True, eq=False)
 class MultiConstraintReport:
-    """Joint prediction data for k independent in-range constraints."""
+    """The joint prediction for a constraint set: the duals of a basis of
+    Phi_R, the form on their span (None when Phi_R is empty), the index
+    drop and nullity change, and the warnings raised on the way."""
 
     duals: list
-    gram_matrix: np.ndarray
-    c: int
-    c0: int
-    marginal: bool = False
+    gram_matrix: np.ndarray | None
+    drop: int
+    change: int
+    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,36 +263,29 @@ def _on_span(form: SymmetricForm, duals: list) -> tuple[np.ndarray, SymmetricFor
     return U, restrict_to(form, Subspace(U))
 
 
-def _joint_prediction(form: SymmetricForm, duals: list,
-                      tol: Tolerances) -> MultiConstraintReport:
-    pairing = _on_span(form, duals)[1]
-    counts = inertia(pairing, tol)
-    return MultiConstraintReport(duals=duals, gram_matrix=pairing.matrix,
-                                 c=counts.negative + counts.zero,
-                                 c0=counts.zero, marginal=counts.marginal)
-
-
 def predict_multi(form: SymmetricForm, phis,
                   tol: Tolerances | None = None) -> MultiConstraintReport:
-    """Joint index drop and nullity change for independent in-range
-    constraints.
+    """Joint index drop and nullity change for any constraint set.
 
-    The index drops by c, the count of non-positive eigenvalues of the
-    pairing matrix M[i, j] = S(u_i, u_j) of the duals, and the nullity
-    rises by c0 = dim Ker(M), read as the form on the span of the duals
-    (``gram_matrix``; see ``_on_span`` for its basis).
+    M[i, j] = S(u_i, u_j) pairs the duals of a basis of Phi_R
+    (``_range_duals``).  The index drops by (neg + zero)(M), and the
+    nullity changes by zero(M) less the k - k0 directions of Phi that miss
+    the range of A.  M is read as the form on the span of the duals
+    (``gram_matrix``; see ``_on_span`` for its basis).  Zero functionals
+    span nothing and change nothing.
     """
     tol = tol or form.space.tol
-    phis = [as_functional(p, form.exact) for p in phis]
-    if any(p.is_zero() for p in phis):
-        raise TrivialFunctional("constraint set contains the zero functional")
-    if _row_space(form, [p.coeffs for p in phis], tol).shape[1] < len(phis):
-        raise DependentConstraints("constraint functionals are linearly dependent")
-    outcomes = [solve_dual(form, p, tol) for p in phis]
-    for i, outcome in enumerate(outcomes):
-        if not outcome.in_range:
-            raise FunctionalNotInRange(i)
-    return _joint_prediction(form, [o.u for o in outcomes], tol)
+    warnings: list[str] = []
+    basis = _row_space(form, [as_functional(p, form.exact).coeffs for p in phis], tol)
+    duals = _range_duals(form, basis, tol, warnings)
+    drop, change, gram = 0, len(duals) - basis.shape[1], None
+    if duals:
+        pairing = _on_span(form, duals)[1]
+        counts = inertia(pairing, tol)
+        if counts.marginal:
+            warnings.append("pairing matrix spectrum has marginal eigenvalues")
+        drop, change, gram = counts.negative + counts.zero, change + counts.zero, pairing.matrix
+    return MultiConstraintReport(duals, gram, drop, change, tuple(warnings))
 
 
 def diagonalize_duals(form: SymmetricForm, duals,
@@ -316,11 +305,10 @@ def analyze(form: SymmetricForm, constraints,
     """Run predictions and the restriction oracle side by side.
 
     Every constraint set is predicted by the module's formula: one nonzero
-    constraint by its ``BRANCH_EFFECT`` entry, any larger set by the
-    pairing of the duals of a basis of Phi_R (``_range_duals``).  Predicted
-    counts no form can have raise ImpossibleCounts.  The oracle is
-    ``restricted_inertia``, which the form's representation routes, counted
-    apart from the predictor.
+    constraint by its ``BRANCH_EFFECT`` entry, any larger set by
+    ``predict_multi``.  Predicted counts no form can have raise
+    ImpossibleCounts.  The oracle is ``restricted_inertia``, which the
+    form's representation routes, counted apart from the predictor.
     """
     tol = tol or form.space.tol
     phis = [as_functional(p, form.exact) for p in constraints]
@@ -338,19 +326,13 @@ def analyze(form: SymmetricForm, constraints,
         warnings.extend(d.outcome.warnings)
         if d.marginal:
             warnings.append("phi(u) classification is marginal")
-    # the index drop (neg + zero)(M) and the nullity change zero(M) - (k - k0)
     drop, change = 0, 0
     if len(decisions) == 1:
         drop, change = decisions[0].drop, decisions[0].change
     elif decisions:
-        basis = _row_space(form, [p.coeffs for p in nonzero], tol)
-        duals = _range_duals(form, basis, tol, warnings)
-        change = len(duals) - basis.shape[1]
-        if duals:
-            multi = _joint_prediction(form, duals, tol)
-            if multi.marginal:
-                warnings.append("pairing matrix spectrum has marginal eigenvalues")
-            drop, change = multi.c, change + multi.c0
+        multi = predict_multi(form, nonzero, tol)
+        warnings.extend(multi.warnings)
+        drop, change = multi.drop, multi.change
     mi, null = full.negative - drop, full.zero + change
     if not (mi >= 0 and 0 <= null <= form.dim):
         raise ImpossibleCounts(f"predicted index {mi} and nullity {null} "

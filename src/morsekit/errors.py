@@ -37,22 +37,8 @@ class TrivialFunctional(MorsekitError):
     """The zero functional carries no constraint information."""
 
 
-class DependentConstraints(MorsekitError):
-    """Constraint functionals are linearly dependent."""
-
-
 class DependentInput(MorsekitError):
     """Input vectors expected to be independent are not."""
-
-
-class FunctionalNotInRange(MorsekitError):
-    """A functional, its index stored in ``index``, has no dual vector,
-    which ``predict_multi`` needs for every functional."""
-
-    def __init__(self, index: int, message: str | None = None):
-        self.index = index
-        super().__init__(message or f"functional {index} is not in the range of the form; "
-                         "analyze predicts any constraint set")
 
 
 class ImpossibleCounts(MorsekitError):

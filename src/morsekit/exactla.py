@@ -72,8 +72,10 @@ def _rational_rows(matrix) -> list[list]:
 
 
 def _cleared(row: list, scale: int) -> list[int]:
-    """scale * row as ints; scale must be a multiple of every denominator."""
-    return [x.numerator * (scale // x.denominator) for x in row]
+    """scale * row as Python ints; scale must be a multiple of every
+    denominator.  Numpy integers, and Fractions built on them, would
+    eliminate in overflowing int64 arithmetic, so their parts become ints."""
+    return [int(x.numerator) * (scale // int(x.denominator)) for x in row]
 
 
 def _primitive(row: list[int]) -> tuple[list[int], int]:

@@ -17,7 +17,7 @@ import traceback
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from importlib import resources
-from math import isinf, isnan
+from math import isfinite, isinf, isnan
 
 import jsonschema
 import numpy as np
@@ -144,14 +144,24 @@ def _convert_vector(entries, exact: bool, where: str) -> np.ndarray:
     return np.array(data, dtype=float)
 
 
+def _finite_number(literal: str) -> float:
+    """A JSON number literal, or NaN / Infinity / -Infinity, as a float;
+    a value that is not finite (1e999 overflows to inf) is refused."""
+    value = float(literal)
+    if not isfinite(value):
+        raise ValidationError(f"non-finite number {literal} in problem document")
+    return value
+
+
 def parse_problem(text: str) -> ProblemFile:
     """Parse and validate a JSON problem document.
 
     Syntax failures raise ParseError with line/column context; structural
-    failures raise ValidationError naming the violated invariant.
+    failures raise ValidationError naming the violated invariant, and
+    numbers that are not finite raise it naming the value.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     error = jsonschema.exceptions.best_match(_problem_validator().iter_errors(doc))

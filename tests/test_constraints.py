@@ -15,8 +15,10 @@ from morsekit.bilinear import (
     restrict,
 )
 from morsekit.constraints import (
+    BRANCH_EFFECT,
     Functional,
     analyze,
+    decide,
     diagonalize_duals,
     is_s_critical,
     predict_index_drop,
@@ -25,13 +27,8 @@ from morsekit.constraints import (
     riesz,
     solve_dual,
 )
-from morsekit.errors import (
-    DependentConstraints,
-    DependentInput,
-    FunctionalNotInRange,
-    TrivialFunctional,
-)
-from morsekit.harness import random_unimodular
+from morsekit.errors import DependentInput, TrivialFunctional
+from morsekit.harness import _make_single_instance, random_unimodular
 
 
 def exact_form(rows):
@@ -175,8 +172,8 @@ def test_zero_functional_rejected():
         predict_index_drop(form, fv([0, 0]))
     with pytest.raises(TrivialFunctional):
         predict_nullity_change(form, fv([0, 0]))
-    with pytest.raises(TrivialFunctional):
-        predict_multi(form, [fv([1, 0]), fv([0, 0])])
+    rep = predict_multi(form, [fv([1, 0]), fv([0, 0])])
+    assert (rep.drop, rep.change) == (1, 0)
 
 
 def test_single_constraint_theorem_matches_oracle_exact():
@@ -267,66 +264,73 @@ def test_s_critical_geometric_witness():
 def test_predict_multi_two_negative_directions():
     form = exact_form(np.diag([-1, -1, 1]))
     rep = predict_multi(form, [fv([1, 0, 0]), fv([0, 1, 0])])
-    assert rep.c == 2 and rep.c0 == 0
+    assert rep.drop == 2 and rep.change == 0
     assert rep.gram_matrix[0, 0] == -1
     assert rep.gram_matrix[1, 1] == -1
     assert rep.gram_matrix[0, 1] == 0
     cut = inertia(restrict(form, [fv([1, 0, 0]), fv([0, 1, 0])]))
-    assert cut.negative == morse_index(form) - rep.c
+    assert cut.negative == morse_index(form) - rep.drop
 
 
-def test_predict_multi_rejects_dependent():
+def _predicts_restriction(form, fs):
+    rep = predict_multi(form, fs)
+    full, cut = inertia(form), inertia(restrict(form, fs))
+    assert (cut.negative, cut.zero) == (full.negative - rep.drop, full.zero + rep.change)
+    return rep
+
+
+def test_predict_multi_predicts_dependent_set():
     form = exact_form(np.diag([-1, -1, 1]))
-    with pytest.raises(DependentConstraints):
-        predict_multi(form, [fv([1, 0, 0]), fv([2, 0, 0])])
+    rep = _predicts_restriction(form, [fv([1, 0, 0]), fv([2, 0, 0])])
+    assert (rep.drop, rep.change, len(rep.duals)) == (1, 0, 1)
 
 
-def test_predict_multi_flags_out_of_range_index():
+def test_predict_multi_predicts_out_of_range_set():
+    # e1 spans Ker A, so only e2 has a dual: Phi_R = span(e2), k - k0 = 1
     form = exact_form(np.diag([0, 1, -1]))
-    with pytest.raises(FunctionalNotInRange) as exc:
-        predict_multi(form, [fv([0, 1, 0]), fv([1, 0, 0])])
-    assert exc.value.index == 1
+    rep = _predicts_restriction(form, [fv([0, 1, 0]), fv([1, 0, 0])])
+    assert (rep.drop, rep.change, len(rep.duals)) == (0, -1, 1)
+
+
+def test_predict_multi_of_one_constraint_is_its_branch_effect():
+    # the fuzz generator pins each single constraint's branch
+    for branch, effect in BRANCH_EFFECT.items():
+        for seed in range(25):
+            A, (f,) = _make_single_instance(np.random.default_rng([seed]), 8, branch)
+            form, phi = exact_form(A), fv(f)
+            rep = predict_multi(form, [phi])
+            d = decide(form, phi)
+            assert d.branch == branch
+            assert (rep.drop, rep.change) == (d.drop, d.change) == effect
 
 
 def test_multi_constraint_matches_oracle_exact():
     rng = np.random.default_rng(211)
-    done = 0
-    while done < 60:
+    for _ in range(60):
         n = int(rng.integers(3, 7))
         form = random_exact_instance(rng, n)
         k = int(rng.integers(2, min(n, 4)))
-        fs = [rng.integers(-3, 4, n) for _ in range(k)]
-        try:
-            rep = predict_multi(form, [fv(f) for f in fs])
-        except (TrivialFunctional, DependentConstraints, FunctionalNotInRange):
-            continue
-        full = inertia(form)
-        cut = inertia(restrict(form, [fv(f) for f in fs]))
-        assert cut.negative == full.negative - rep.c
-        assert cut.zero == full.zero + rep.c0
-        done += 1
+        _predicts_restriction(form, [fv(rng.integers(-3, 4, n)) for _ in range(k)])
 
 
 def test_diagonalize_duals_preserves_drop_count():
     rng = np.random.default_rng(223)
-    done = 0
-    while done < 20:
+    for _ in range(20):
         n = int(rng.integers(3, 7))
         form = random_exact_instance(rng, n)
         k = int(rng.integers(2, min(n, 4)))
-        fs = [rng.integers(-3, 4, n) for _ in range(k)]
-        try:
-            rep = predict_multi(form, [fv(f) for f in fs])
-        except (TrivialFunctional, DependentConstraints, FunctionalNotInRange):
-            continue
+        fs = [fv(rng.integers(-3, 4, n)) for _ in range(k)]
+        rep = predict_multi(form, fs)
         new_duals = diagonalize_duals(form, rep.duals)
+        m = len(new_duals)
         vals = [form.quadratic(u) for u in new_duals]
         pairing_offdiag = [form.evaluate(new_duals[i], new_duals[j])
-                           for i in range(k) for j in range(i + 1, k)]
+                           for i in range(m) for j in range(i + 1, m)]
         assert all(v == 0 for v in pairing_offdiag)
-        assert sum(1 for v in vals if v <= 0) == rep.c
-        assert sum(1 for v in vals if v == 0) == rep.c0
-        done += 1
+        # the k - k0 directions of Phi outside the range lower the nullity
+        missing = len(exactla.rref(np.stack(fs))[1]) - m
+        assert sum(1 for v in vals if v <= 0) == rep.drop
+        assert sum(1 for v in vals if v == 0) - missing == rep.change
 
 
 def test_diagonalize_duals_rejects_dependent_input():

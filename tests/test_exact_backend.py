@@ -28,8 +28,7 @@ from morsekit import (
     solve_dual,
 )
 from morsekit import exactla
-from morsekit.bilinear import factor
-from morsekit.errors import DependentConstraints, FunctionalNotInRange, TrivialFunctional
+from morsekit.bilinear import factor, restrict
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -142,13 +141,15 @@ def test_exact_outputs_are_exact_and_satisfy_their_identities(problem):
         proj = s_project(form, u, v)
         assert is_exact(proj) and form.evaluate(u, v - proj) == 0
 
-    # joint prediction: the pairing matrix of the duals, and an
-    # S-orthogonal basis of their span
-    try:
-        multi = predict_multi(form, fs)
-    except (DependentConstraints, FunctionalNotInRange, TrivialFunctional):
-        return
+    # joint prediction: the restricted counts, the pairing matrix of the
+    # duals, and an S-orthogonal basis of their span
+    multi = predict_multi(form, fs)
+    full, cut = inertia(form), inertia(restrict(form, fs))
+    assert (cut.negative, cut.zero) == (full.negative - multi.drop, full.zero + multi.change)
     duals = multi.duals
+    if not duals:
+        assert multi.gram_matrix is None
+        return
     assert is_exact(multi.gram_matrix)
     k = len(duals)
     assert all(multi.gram_matrix[i, j] == form.evaluate(duals[i], duals[j])
@@ -258,3 +259,5 @@ def test_numpy_integers_are_eliminated_as_python_ints():
             assert exactla.inertia_counts(m) == want
             form = SymmetricForm.from_matrix(variant, exact=True)
             assert inertia(form).counts == want
+            # exactla called directly on the unconverted object array
+            assert exactla.inertia_counts(np.array(variant, dtype=object)) == want

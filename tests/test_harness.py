@@ -138,6 +138,33 @@ def test_parse_rejects_unknown_keys():
         parse_problem(json.dumps(doc))
 
 
+# json.loads reads these literals, and 1e999 as inf, and the schema
+# passes them
+NON_FINITE_DOCS = [
+    ("NaN", '{"kind": "abstract", "dim": 2, "backend": "float", '
+            '"form": [[NaN, 0], [0, 1.0]], "constraints": [[1.0, 0.0]]}'),
+    ("NaN", '{"kind": "pde", "domain": {"a": 0.0, "b": 1.0, "n_elements": 16}, '
+            '"p": {"constant": 0.0}, "q_a": NaN, "q_b": 1.0}'),
+    ("Infinity", '{"kind": "pde", "domain": {"a": 0.0, "b": 1.0, "n_elements": 16}, '
+                 '"p": {"polynomial": [1.0, Infinity]}, "q_a": 1.0, "q_b": 1.0}'),
+    ("1e999", '{"kind": "abstract", "dim": 2, "backend": "float", '
+              '"form": [[-1e999, 0], [0, 1.0]], "constraints": [[1.0, 0.0]]}'),
+]
+
+
+@pytest.mark.parametrize("literal, text", NON_FINITE_DOCS,
+                         ids=["abstract-form", "pde-q_a", "pde-polynomial", "overflow"])
+def test_parse_refuses_non_finite_numbers(literal, text):
+    with pytest.raises(ValidationError, match=f"non-finite number -?{literal}"):
+        parse_problem(text)
+
+
+def test_parse_keeps_exact_integers_of_any_size():
+    doc = json.loads(ABSTRACT_DOC)
+    doc["form"] = [[-(10 ** 400), 0], [0, 1]]
+    assert parse_problem(json.dumps(doc)).form[0, 0] == -(10 ** 400)
+
+
 def test_shipped_schemas_are_valid():
     for name in ("problem.schema.json", "report.schema.json"):
         schema = json.loads(resources.files("morsekit.schemas").joinpath(name).read_text())
@@ -605,6 +632,20 @@ def test_traced_pde_op_counts_one_steklov_spectrum_per_verify():
     assert calls["bilinear._eigh"] == 0
 
 
+def test_traced_fuzz_predicts_each_multi_set_through_predict_multi():
+    # ten trials are one pass of the branch schedule, multi:2 and multi:3
+    # among them
+    tracer = _benchmark_tracer().Tracer()
+    tracer.install()
+    try:
+        assert fuzz(seed=42, trials=10).passed
+    finally:
+        tracer.uninstall()
+    calls = {layer: row[0] for layer, row in tracer.aggregate().items()}
+    assert calls["constraints.analyze"] == 10
+    assert calls["constraints.predict_multi"] == 2
+
+
 def test_exact_fuzz_runs_every_exactla_target_and_no_eigensolve(count_calls):
     # the benchmark refuses a fuzz-exact run in which any exactla target
     # never ran or _eigh ran
@@ -675,6 +716,13 @@ def test_cli_malformed_json(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 1" in err
+
+
+def test_cli_non_finite_number_is_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "nan.json", NON_FINITE_DOCS[0][1])
+    code = main(["analyze", path])
+    assert code == 2
+    assert "non-finite number NaN" in capsys.readouterr().err
 
 
 def test_cli_fail_verdict_exit_one(tmp_path, capsys):
