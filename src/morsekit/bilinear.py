@@ -29,6 +29,7 @@ from .errors import (
     NotNegativeDirection,
     NotPositiveDefinite,
     UnsupportedBackend,
+    ValidationError,
 )
 from .tolerances import (DEFAULT, Tolerances, classify_counts, classify_spectrum,
                          spectral_radius, zero_band)
@@ -145,6 +146,9 @@ def _check_symmetric(matrix: np.ndarray, tol: Tolerances, what: str) -> None:
             raise NonSymmetric(f"{what} is not symmetric")
         return
     scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
+    if not math.isfinite(scale):
+        # NaN propagates through the max and compares False with any gap
+        raise ValidationError(f"{what} has a NaN or infinite entry")
     gap = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
     if gap > tol.symmetry * scale:
         raise NonSymmetric(f"{what} is not symmetric within tolerance "
@@ -291,12 +295,14 @@ class SymmetricForm:
     @classmethod
     def from_matrix(cls, matrix, gram=None, exact: bool | None = None,
                     tol: Tolerances = DEFAULT):
-        m = as_backend_matrix(matrix, exact)
+        # the matrix is converted once, by __post_init__ on the space's backend
+        if exact is None:
+            exact = not isinstance(matrix, Tridiagonal) and np.asarray(matrix).dtype == object
         if gram is None:
-            space = InnerProductSpace.euclidean(m.shape[0], exact=m.dtype == object, tol=tol)
+            space = InnerProductSpace.euclidean(np.shape(matrix)[0], exact=exact, tol=tol)
         else:
-            space = InnerProductSpace(as_backend_matrix(gram, m.dtype == object), tol)
-        return cls(space, m)
+            space = InnerProductSpace(as_backend_matrix(gram, exact), tol)
+        return cls(space, matrix)
 
     @property
     def dim(self) -> int:
@@ -779,10 +785,16 @@ def factor(form: SymmetricForm) -> Factorization | SturmFactorization:
             C, diag = exactla.congruence_diagonalize(form.matrix)
             fac = Factorization(np.array(diag, dtype=object), C)
         else:
-            gram = None if _is_identity(form.space.gram) else form.space.gram
-            fac = Factorization(*_eigh(form.matrix, gram), scale=form.parent_scale)
+            fac = _pencil_factorization(form.matrix, form.space.gram, form.parent_scale)
         object.__setattr__(form, "factored", fac)
     return fac
+
+
+def _pencil_factorization(matrix: np.ndarray, gram: np.ndarray,
+                          scale: float | None) -> Factorization:
+    """One ``_eigh`` with eigenvectors of the dense float pencil (matrix,
+    gram), the standard problem when gram is the identity."""
+    return Factorization(*_eigh(matrix, None if _is_identity(gram) else gram), scale=scale)
 
 
 def fundamental_decomposition(form: SymmetricForm,
@@ -838,12 +850,13 @@ def float_row_split(F: np.ndarray, tol: Tolerances,
 
 def restrict(form: SymmetricForm, constraints,
              tol: Tolerances | None = None) -> SymmetricForm:
-    """The form pulled back to the joint kernel of the constraints.
+    """The form pulled back to the joint kernel of the constraints: B^T A B
+    on the space with gram B^T G B, where the columns of B span the kernel.
 
-    Its inertia, that of B^T A B where the columns of B span the kernel,
-    is the dense route of the oracle (``restricted_inertia``) every
-    theorem-based prediction is checked against.  Restricting by a full
-    set of constraints yields the empty form on the zero-dimensional space.
+    Its inertia is what the oracle (``restricted_inertia``) counts, from
+    the same pullback but without building this form.  Restricting by a
+    full set of constraints yields the empty form on the zero-dimensional
+    space.
     """
     tol = tol or form.space.tol
     sub = kernel_intersection(form.space, constraints, tol)
@@ -854,15 +867,27 @@ def restricted_inertia(form: SymmetricForm, constraints,
                        tol: Tolerances | None = None) -> Inertia:
     """The oracle: the inertia of the form on the joint kernel of the
     constraints, counted apart from every prediction.  A dense form is
-    restricted (``restrict``) and its B^T A B factored.  A tridiagonal
-    pencil (A, G) is bordered instead: for C an orthonormal basis of the
-    constraints by the rank rule of ``kernel_intersection`` (r columns),
-    [[A - s G, C], [C^T, 0]] has r + #(lambda < s) negative eigenvalues,
-    lambda running over the constrained pencil (Haynsworth), which
-    ``sturm_negatives`` counts in O(n) per row against the form's band."""
+    counted on B^T A B, the columns of B spanning the kernel, with no
+    restricted form built: by one congruence diagonalization on the exact
+    backend, where the gram never enters a count, and by one ``_eigh`` of
+    the pencil (B^T A B, B^T G B) against the form's own band on the
+    floating one.  B^T G B is positive definite by construction (B has
+    independent columns and G was proven so), so it is not checked again.
+    A tridiagonal pencil (A, G) is bordered instead: for C an orthonormal
+    basis of the constraints by the rank rule of ``kernel_intersection``
+    (r columns), [[A - s G, C], [C^T, 0]] has r + #(lambda < s) negative
+    eigenvalues, lambda running over the constrained pencil (Haynsworth),
+    which ``sturm_negatives`` counts in O(n) per row against the form's
+    band."""
     tol = tol or form.space.tol
     if not isinstance(form.matrix, Tridiagonal):
-        return inertia(restrict(form, constraints, tol), tol)
+        B = kernel_intersection(form.space, constraints, tol).basis
+        A2 = _pullback(form.matrix, B)
+        if form.exact:
+            return Inertia(*exactla.inertia_counts(A2))
+        # the rounding error of B^T A B scales with A, so A's band is kept
+        fac = _pencil_factorization(A2, _pullback(form.space.gram, B), factor(form).scale)
+        return fac.inertia(tol)
     F = np.array(constraints, dtype=float).reshape(len(constraints), form.dim)
     Q, r = float_row_split(F, tol, "economic")
     C = Q[:, :r]
@@ -873,17 +898,19 @@ def restricted_inertia(form: SymmetricForm, constraints,
     return Inertia(*classify_counts(below, form.dim - r, factor(form).scale, tol))
 
 
+def _pullback(matrix: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """B^T M B for a symmetric dense M: exact, one Fraction per entry, on
+    the exact backend; symmetrized after rounding on the floating one."""
+    if matrix.dtype == object:
+        return exactla.congruence(matrix, B)
+    M = B.T.dot(matrix.dot(B))
+    return 0.5 * (M + M.T)
+
+
 def restrict_to(form: SymmetricForm, sub: Subspace) -> SymmetricForm:
     B = sub.basis
-    if form.exact:
-        A2 = exactla.congruence(form.matrix, B)
-        G2 = exactla.congruence(form.space.gram, B)
-    else:
-        A2 = B.T.dot(form.matrix.dot(B))
-        G2 = B.T.dot(form.space.gram.dot(B))
-        A2 = 0.5 * (A2 + A2.T)
-        G2 = 0.5 * (G2 + G2.T)
-    child = SymmetricForm(InnerProductSpace(G2, form.space.tol), A2)
+    G2 = _pullback(form.space.gram, B)
+    child = SymmetricForm(InnerProductSpace(G2, form.space.tol), _pullback(form.matrix, B))
     if not form.exact:
         # the rounding error of B^T A B scales with A, so A's band is kept
         object.__setattr__(child, "parent_scale", factor(form).scale)

@@ -106,16 +106,26 @@ def _entry_to_fraction(value, where: str) -> Fraction:
     raise ValidationError(f"{where}: unsupported entry {value!r}")
 
 
+def _to_float(value, where: str) -> float:
+    """A document number (or Fraction) as a float; JSON integers have no
+    bound, and one beyond the float range is refused."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{where}: {value} is too large for a float") from exc
+
+
 def _entry_to_float(value, where: str) -> float:
     if isinstance(value, bool):
         raise ValidationError(f"{where}: booleans are not matrix entries")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _to_float(value, where)
     if isinstance(value, str):
         try:
-            return float(Fraction(value))
+            rational = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"{where}: bad rational literal {value!r}") from exc
+        return _to_float(rational, where)
     raise ValidationError(f"{where}: unsupported entry {value!r}")
 
 
@@ -168,7 +178,8 @@ def parse_problem(text: str) -> ProblemFile:
     if error is not None:
         path = ".".join(str(p) for p in error.absolute_path) or "<root>"
         raise ValidationError(f"{path}: {error.message}") from error
-    tol = DEFAULT.with_overrides(**doc.get("tolerances", {}))
+    tol = DEFAULT.with_overrides(**{name: _to_float(value, f"tolerances.{name}")
+                                    for name, value in doc.get("tolerances", {}).items()})
     if doc["kind"] == "abstract":
         return _parse_abstract(doc, tol)
     return _parse_pde(doc, tol)
@@ -197,20 +208,21 @@ def _parse_abstract(doc: dict, tol: Tolerances) -> ProblemFile:
 
 def _parse_pde(doc: dict, tol: Tolerances) -> ProblemFile:
     d = doc["domain"]
-    if not d["a"] < d["b"]:
+    a, b = _to_float(d["a"], "domain.a"), _to_float(d["b"], "domain.b")
+    if not a < b:
         raise ValidationError("domain must have a < b")
-    domain = IntervalDomain(d["a"], d["b"], d["n_elements"])
+    domain = IntervalDomain(a, b, d["n_elements"])
     pspec = doc["p"]
     if "constant" in pspec:
-        p = Constant(pspec["constant"])
+        p = Constant(_to_float(pspec["constant"], "p.constant"))
     elif "polynomial" in pspec:
-        p = Polynomial(tuple(pspec["polynomial"]))
+        p = Polynomial(tuple(_convert_vector(pspec["polynomial"], False, "p.polynomial").tolist()))
     else:
-        nodal = tuple(pspec["nodal"])
+        nodal = tuple(_convert_vector(pspec["nodal"], False, "p.nodal").tolist())
         if len(nodal) != domain.n_elements + 1:
             raise ValidationError("nodal p must have n_elements + 1 samples")
         p = NodalSamples(nodal)
-    coeffs = CoefficientSpec(p, doc["q_a"], doc["q_b"])
+    coeffs = CoefficientSpec(p, _to_float(doc["q_a"], "q_a"), _to_float(doc["q_b"], "q_b"))
     constraints = doc.get("constraints")
     if isinstance(constraints, list):
         vecs = [_convert_vector(c, False, f"constraints[{i}]")

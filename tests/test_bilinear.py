@@ -22,6 +22,7 @@ from morsekit.bilinear import (
     nullity,
     restrict,
     restrict_to,
+    restricted_inertia,
     s_project,
     solve_tridiagonal,
     sturm_negatives,
@@ -33,6 +34,7 @@ from morsekit.errors import (
     NotNegativeDirection,
     NotPositiveDefinite,
     UnsupportedBackend,
+    ValidationError,
 )
 from morsekit.harness import random_unimodular
 from morsekit.tolerances import DEFAULT, spectral_radius, zero_band
@@ -68,6 +70,16 @@ def test_space_rejects_the_zero_gram(n):
         InnerProductSpace(Tridiagonal(np.zeros(n), np.zeros(n - 1)))
     with pytest.raises(NotPositiveDefinite):
         InnerProductSpace(np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_entries_are_refused(bad):
+    # refused before the asymmetry gap is formed, so inf - inf never runs
+    # and NaN cannot compare its way past the symmetry test
+    with pytest.raises(ValidationError, match="form matrix has a NaN or infinite entry"):
+        SymmetricForm.from_matrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValidationError, match="gram matrix has a NaN or infinite entry"):
+        SymmetricForm.from_matrix(np.eye(2), gram=np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def _eigenvalue_rule(g):
@@ -116,6 +128,14 @@ def test_well_conditioned_gram_needs_no_eigenvalues(monkeypatch):
     for g in grams:
         InnerProductSpace(g)
     InnerProductSpace(np.diag([1e-3, 5.0]))
+
+
+def test_from_matrix_converts_an_exact_matrix_once(count_calls):
+    # one conversion for the matrix and one for the identity gram
+    calls = count_calls(exactla, "frac_matrix")
+    form = SymmetricForm.from_matrix(np.array([[1, 2], [2, Fraction(-1, 3)]], dtype=object))
+    assert len(calls) == 2
+    assert form.exact and form.matrix[1, 1] == Fraction(-1, 3)
 
 
 def test_diagonal_exact_gram_needs_no_congruence(count_calls):
@@ -379,6 +399,41 @@ def test_oracle_drop_is_at_most_one():
         cut = inertia(restrict(form, [exactla.frac_vector(f)]))
         assert full.negative - cut.negative in (0, 1)
         assert cut.zero - full.zero in (-1, 0, 1)
+
+
+def _oracle_cases(exact: bool):
+    """(form, constraints) pairs on one backend: forms with a kernel on
+    Euclidean and non-identity grams, each cut by no functional, one, a
+    zero one, a dependent set and a full set (last).  First, a cut whose
+    float counts are marginal only in the parent's band: 5 and -3 lie
+    within 11 band widths of 0 at scale 1e9."""
+    rng = np.random.default_rng(71)
+    matrix = exactla.frac_matrix if exact else (lambda m: np.array(m, dtype=float))
+    cases = [(SymmetricForm.from_matrix(matrix(np.diag([10 ** 9, 5, -3]))), [matrix([1, 0, 0])])]
+    for n in (3, 5):
+        B = random_unimodular(rng, n)
+        lam = rng.integers(-3, 4, n)
+        lam[0] = 0
+        c = rng.integers(-2, 3, (n, n))
+        f1, f2 = rng.integers(-3, 4, (2, n))
+        sets = [[], [f1], [np.zeros(n, dtype=int)], [f1, f2, f1 - 2 * f2],
+                list(np.eye(n, dtype=int))]
+        for gram in (None, matrix(c.T @ c + np.eye(n, dtype=int))):
+            form = SymmetricForm.from_matrix(matrix(B.T @ np.diag(lam) @ B), gram=gram)
+            cases += [(form, [matrix(f) for f in fs]) for fs in sets]
+    return cases
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_oracle_counts_what_restrict_counts(exact):
+    # the oracle counts B^T A B without building the restricted form; its
+    # counts, and on the float backend its marginal flag, are those of
+    # the form restrict builds
+    cases = _oracle_cases(exact)
+    for form, fs in cases:
+        assert restricted_inertia(form, fs) == inertia(restrict(form, fs))
+    form, fs = cases[-1]
+    assert restricted_inertia(form, fs).counts == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -532,13 +532,26 @@ def test_analyze_float_backend_report():
 
 def test_analyze_factors_the_full_form_once(count_calls):
     # one eigensolve for the full form, read again by the dual solve, and
-    # one for the restricted form of the oracle
+    # one for the restricted pencil of the oracle
     calls = count_calls(bilinear, "_eigh")
     form = SymmetricForm.from_matrix(np.diag([0.0, 1.0, -2.0]))
     rep = analyze(form, [np.array([1.0, 0.0, 0.0])])
     assert rep.nullity_constrained_predicted == 0
     assert rep.agreement
     assert len(calls) == 2
+
+
+def test_exact_analyze_diagonalizes_twice_and_restricts_nothing(count_calls):
+    # one congruence diagonalization for the full form, read again by the
+    # dual solve, and one for the oracle's B^T A B; no restricted form and
+    # so no check of its gram
+    diagonalize = count_calls(exactla, "congruence_diagonalize")
+    restricted = count_calls(bilinear, "restrict")
+    form = exact_form([[2, 1, 0], [1, 0, Fraction(1, 3)], [0, Fraction(1, 3), -1]])
+    rep = analyze(form, [fv([1, -1, 2])])
+    assert rep.agreement
+    assert len(diagonalize) == 2
+    assert restricted == []
 
 
 def test_functional_wrapper_call():

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -163,6 +164,42 @@ def test_parse_keeps_exact_integers_of_any_size():
     doc = json.loads(ABSTRACT_DOC)
     doc["form"] = [[-(10 ** 400), 0], [0, 1]]
     assert parse_problem(json.dumps(doc)).form[0, 0] == -(10 ** 400)
+
+
+_HUGE = 10 ** 400
+_FLOAT_ABSTRACT = {"kind": "abstract", "dim": 2, "backend": "float",
+                   "form": [[-1.0, 0.0], [0.0, 1.0]], "constraints": [[1.0, 0.0]]}
+_FLOAT_PDE = {"kind": "pde", "domain": {"a": 0.0, "b": 1.0, "n_elements": 16},
+              "p": {"constant": 0.0}, "q_a": 1.0, "q_b": 1.0}
+# (where the integer too large for a float sits, the document)
+HUGE_INTEGER_DOCS = [
+    ("form[0][0]", {**_FLOAT_ABSTRACT, "form": [[_HUGE, 0.0], [0.0, 1.0]]}),
+    ("form[0][0]", {**_FLOAT_ABSTRACT, "form": [[f"{_HUGE}/3", 0.0], [0.0, 1.0]]}),
+    ("gram[1][1]", {**_FLOAT_ABSTRACT, "gram": [[1.0, 0.0], [0.0, _HUGE]]}),
+    ("constraints[0][1]", {**_FLOAT_ABSTRACT, "constraints": [[1.0, -_HUGE]]}),
+    ("tolerances.marginal_factor", {**_FLOAT_ABSTRACT, "tolerances": {"marginal_factor": _HUGE}}),
+    ("q_a", {**_FLOAT_PDE, "q_a": _HUGE}),
+    ("domain.b", {**_FLOAT_PDE, "domain": {"a": 0, "b": _HUGE, "n_elements": 16}}),
+    ("p.constant", {**_FLOAT_PDE, "p": {"constant": -_HUGE}}),
+    ("p.polynomial[1]", {**_FLOAT_PDE, "p": {"polynomial": [1.0, _HUGE]}}),
+    ("p.nodal[2]", {**_FLOAT_PDE, "domain": {"a": 0.0, "b": 1.0, "n_elements": 2},
+                    "p": {"nodal": [0.0, 1.0, _HUGE]}}),
+]
+
+
+@pytest.mark.parametrize("where, doc", HUGE_INTEGER_DOCS,
+                         ids=[where for where, _ in HUGE_INTEGER_DOCS])
+def test_parse_refuses_integers_too_large_for_a_float(where, doc):
+    # float(10**400) overflows; the document is refused naming the value,
+    # before any form or coefficient is built
+    with pytest.raises(ValidationError, match=rf"^{re.escape(where)}: -?{_HUGE}(/3)? is too large"):
+        parse_problem(json.dumps(doc))
+
+
+def test_cli_integer_too_large_for_a_float_is_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "huge.json", json.dumps(HUGE_INTEGER_DOCS[0][1]))
+    assert main(["analyze", path]) == 2
+    assert "form[0][0]: 1000" in capsys.readouterr().err
 
 
 def test_shipped_schemas_are_valid():
@@ -547,6 +584,19 @@ def _pinned_documents() -> list:
     singular = {"kind": "abstract", "dim": 4, "backend": "float",
                 "form": (B.T @ np.diag([3, 0, -2, 0]) @ B).astype(float).tolist(),
                 "constraints": [f.astype(float).tolist() for f in (f1, f2, f1 + f2)]}
+    # non-identity grams, so the oracle counts the pencil (B^T A B, B^T G B):
+    # C^T C with the form D^T diag(2, -1, 0, 3) D, cut by two functionals
+    # that vanish on its kernel vector (2, -2, -1, 0), and a rational pencil
+    C = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 2]])
+    D = np.array([[1, 0, 2, 0], [1, 1, 0, 0], [0, -1, 1, 1], [0, 0, 0, 1]])
+    float_gram = {"kind": "abstract", "dim": 4, "backend": "float",
+                  "form": (D.T @ np.diag([2, -1, 0, 3]) @ D).astype(float).tolist(),
+                  "gram": (C.T @ C).astype(float).tolist(),
+                  "constraints": [[1.0, 0.0, 2.0, 0.0], [0.5, 0.5, 0.0, 2.0]]}
+    exact_gram = {"kind": "abstract", "dim": 3, "backend": "exact",
+                  "form": [[1, 2, 0], [2, -1, "1/2"], [0, "1/2", 0]],
+                  "gram": [[2, "1/2", 0], ["1/2", 1, "1/3"], [0, "1/3", 1]],
+                  "constraints": [[1, 0, 1], [0, 1, "1/2"]]}
     return [
         # (name, document, sha256 of its report_to_json with timing_s null)
         ("ladder-128", _pde_doc(128, [87.125, -41.5, 23.0, 12.75], checks=ladder),
@@ -558,6 +608,10 @@ def _pinned_documents() -> list:
          "47ccf6f724be9eb8c64a8ae17b9425cc07f7f68fd5d26b56a2a3f41ba5748c15"),
         ("abstract-singular", singular,
          "a80687571266d2ab9af472259a9214d816f22bee42b99ef79f15660f4a40c036"),
+        ("abstract-float-gram", float_gram,
+         "73f9d55e93d6f37f3548a52eb8bd321842e3fc91648ba038dfbacbb6d818d533"),
+        ("abstract-exact-gram", exact_gram,
+         "569e553dfe457695eccc4ed00d9fe9114cbe8deb0400229d51a61d31cd535c20"),
     ]
 
 
