@@ -156,19 +156,38 @@ def _check_symmetric(matrix: np.ndarray, tol: Tolerances, what: str) -> None:
 
 
 def _eigh(matrix: np.ndarray, gram: np.ndarray | None = None, vectors: bool = True):
-    """(eigenvalues, eigenvectors) via LAPACK, wrapped in our error type;
-    the eigenvectors are None, and not computed, when ``vectors`` is false.
-    The two LAPACK paths round differently: forms are factored with
-    vectors, and the values-only path serves the dense spectra of
-    :mod:`morsekit.boundary` alone."""
-    if matrix.shape[0] == 0:
+    """(eigenvalues, eigenvectors) of the dense float pencil (matrix, gram),
+    from the lower triangles, by one LAPACK call: dsyevr with its queried
+    workspace for the standard problem (gram None), dsygvd for the
+    generalized one.  These are the routines and workspaces that
+    ``scipy.linalg.eigh`` picks by default, so the results are bitwise
+    its results, without its wrapper's cost on small matrices.  The
+    eigenvectors are None, and not computed, when ``vectors`` is false;
+    the two paths round differently, so forms are factored with vectors,
+    and the values-only path serves the dense spectra of
+    :mod:`morsekit.boundary` alone.  A non-finite entry, a failed
+    iteration and a gram that is not positive definite raise
+    EigensolverFailure."""
+    n = matrix.shape[0]
+    if n == 0:
         return np.empty(0), (np.empty((0, 0)) if vectors else None)
-    try:
-        if vectors:
-            return scipy.linalg.eigh(matrix, gram)
-        return scipy.linalg.eigh(matrix, gram, eigvals_only=True), None
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise EigensolverFailure(str(exc)) from exc
+    if not (np.isfinite(matrix).all() and (gram is None or np.isfinite(gram).all())):
+        raise EigensolverFailure("array must not contain infs or NaNs")
+    lapack = scipy.linalg.lapack
+    if gram is None:
+        work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
+        if info == 0:
+            w, v, _, _, info = lapack.dsyevr(matrix, compute_v=int(vectors), lower=1,
+                                             lwork=int(work), liwork=int(iwork))
+    else:
+        w, v, info = lapack.dsygvd(matrix, gram, jobz="V" if vectors else "N", uplo="L")
+    if info > n and gram is not None:
+        raise EigensolverFailure(f"the leading minor of order {info - n} of the gram "
+                                 "is not positive definite")
+    if info:
+        raise EigensolverFailure(f"LAPACK {'dsyevr' if gram is None else 'dsygvd'} "
+                                 f"failed (info {info})")
+    return w, (v if vectors else None)
 
 
 def _positive_definite(g: np.ndarray, tol: Tolerances) -> bool:
@@ -245,8 +264,12 @@ class InnerProductSpace:
 
     @classmethod
     def euclidean(cls, dim: int, exact: bool = False, tol: Tolerances = DEFAULT):
-        g = exactla.identity(dim) if exact else np.eye(dim)
-        return cls(g, tol)
+        """R^dim with the identity gram, which is symmetric and positive
+        definite by construction, so it is neither converted nor checked."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "gram", exactla.identity(dim) if exact else np.eye(dim))
+        object.__setattr__(space, "tol", tol)
+        return space
 
     @property
     def dim(self) -> int:
@@ -295,13 +318,16 @@ class SymmetricForm:
     @classmethod
     def from_matrix(cls, matrix, gram=None, exact: bool | None = None,
                     tol: Tolerances = DEFAULT):
-        # the matrix is converted once, by __post_init__ on the space's backend
+        # the matrix and the gram are converted once each, by __post_init__
+        # on the space's backend, which an object array selects
         if exact is None:
             exact = not isinstance(matrix, Tridiagonal) and np.asarray(matrix).dtype == object
         if gram is None:
             space = InnerProductSpace.euclidean(np.shape(matrix)[0], exact=exact, tol=tol)
+        elif exact:
+            space = InnerProductSpace(np.asarray(gram, dtype=object), tol)
         else:
-            space = InnerProductSpace(as_backend_matrix(gram, exact), tol)
+            space = InnerProductSpace(as_backend_matrix(gram, False), tol)
         return cls(space, matrix)
 
     @property
@@ -782,12 +808,17 @@ def factor(form: SymmetricForm) -> Factorization | SturmFactorization:
         if isinstance(form.matrix, Tridiagonal):
             fac = SturmFactorization(form.matrix, form.space.gram, form.parent_scale)
         elif form.exact:
-            C, diag = exactla.congruence_diagonalize(form.matrix)
-            fac = Factorization(np.array(diag, dtype=object), C)
+            fac = _congruence_factorization(form.matrix)
         else:
             fac = _pencil_factorization(form.matrix, form.space.gram, form.parent_scale)
         object.__setattr__(form, "factored", fac)
     return fac
+
+
+def _congruence_factorization(matrix: np.ndarray) -> Factorization:
+    """One congruence diagonalization of the exact symmetric matrix."""
+    C, diag = exactla.congruence_diagonalize(matrix)
+    return Factorization(np.array(diag, dtype=object), C)
 
 
 def _pencil_factorization(matrix: np.ndarray, gram: np.ndarray,
@@ -839,13 +870,38 @@ def float_row_split(F: np.ndarray, tol: Tolerances,
     """(Q, r) from QR with column pivoting of F^T: r counts the pivots
     above ``tol.rank`` times the largest, Q[:, :r] is an orthonormal basis
     of F's row space and, in full mode, Q[:, r:] one of its kernel.  The
-    economic mode has the same R, so the same r."""
-    Q, R, _ = scipy.linalg.qr(F.T, pivoting=True, mode=mode)
-    d = np.abs(np.diag(R)) if min(R.shape) else np.empty(0)
-    r = 0
-    if d.size and d[0] > 0:
-        r = int(np.sum(d > tol.rank * d[0]))
+    economic mode has the same R, so the same r.
+
+    LAPACK dgeqp3 factors F^T and dorgqr forms Q, each with the workspace
+    its own query returns, as ``scipy.linalg.qr(F.T, pivoting=True,
+    mode=mode)`` calls them, so Q and the pivots are bitwise its results;
+    the pivots are the diagonal of the factored array.  An empty F is
+    split without LAPACK.  Raises ValueError on inf or NaN input."""
+    k, m = F.shape
+    if F.size == 0:
+        return (np.eye(m) if mode == "full" else np.empty((m, 0))), 0
+    if not np.isfinite(F).all():
+        raise ValueError("array must not contain infs or NaNs")
+    qr, _, tau = _queried(scipy.linalg.lapack.dgeqp3, F.T)
+    d = np.abs(np.diag(qr))
+    if m < k:
+        qr = qr[:, :m]
+    elif mode == "full":
+        qr = np.concatenate([qr, np.empty((m, m - k))], axis=1)
+    Q, = _queried(scipy.linalg.lapack.dorgqr, qr, tau, overwrite_a=1)
+    r = int(np.sum(d > tol.rank * d[0])) if d[0] > 0 else 0
     return Q, r
+
+
+def _queried(routine, *args, **kwargs) -> tuple:
+    """The outputs of a LAPACK routine, less its work array and info, run
+    with the workspace its lwork = -1 query returns."""
+    lwork = routine(*args, lwork=-1, **kwargs)[-2][0]
+    *out, _, info = routine(*args, lwork=int(lwork), **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK "
+                         f"{routine.__name__.split()[-1]}")
+    return tuple(out)
 
 
 def restrict(form: SymmetricForm, constraints,
@@ -900,11 +956,13 @@ def restricted_inertia(form: SymmetricForm, constraints,
 
 def _pullback(matrix: np.ndarray, B: np.ndarray) -> np.ndarray:
     """B^T M B for a symmetric dense M: exact, one Fraction per entry, on
-    the exact backend; symmetrized after rounding on the floating one."""
+    the exact backend; symmetrized after rounding on the floating one, by
+    halves, so a finite B^T M B near the end of the float range does not
+    overflow."""
     if matrix.dtype == object:
         return exactla.congruence(matrix, B)
     M = B.T.dot(matrix.dot(B))
-    return 0.5 * (M + M.T)
+    return 0.5 * M + 0.5 * M.T
 
 
 def restrict_to(form: SymmetricForm, sub: Subspace) -> SymmetricForm:

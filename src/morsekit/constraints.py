@@ -19,15 +19,17 @@ import numpy as np
 
 from . import exactla
 from .bilinear import (
+    Factorization,
     InnerProductSpace,
-    Subspace,
     SymmetricForm,
+    _congruence_factorization,
+    _pencil_factorization,
+    _pullback,
     as_backend_vector,
     factor,
     float_row_split,
     inertia,
     rayleigh,
-    restrict_to,
     restricted_inertia,
 )
 from .errors import DependentInput, ImpossibleCounts, TrivialFunctional
@@ -251,16 +253,21 @@ def _range_duals(form: SymmetricForm, basis: np.ndarray, tol: Tolerances, warnin
     return [fac.solve(basis.dot(c), tol) for c in coords]
 
 
-def _on_span(form: SymmetricForm, duals: list) -> tuple[np.ndarray, SymmetricForm]:
-    """The form on the span of the duals and the basis it is written in:
-    the duals on the Euclidean space (exact counts read only the matrix),
-    or an orthonormal basis, which does not square their conditioning."""
+def _on_span(form: SymmetricForm, duals: list) -> tuple[np.ndarray, np.ndarray, Factorization]:
+    """(U, M, its factorization): the form on the span of the duals as the
+    pairing matrix M = U^T A U in a basis U of that span, factored as the
+    oracle factors B^T A B, with no form built around it.  Exact: U is the
+    duals, and M is diagonalized by congruence (its counts never read a
+    gram).  Floating: U is orthonormal, which does not square the duals'
+    conditioning, and the pencil (M, U^T G U) is solved against the
+    form's own band."""
     U = np.stack(duals, axis=1)
     if form.exact:
-        return U, SymmetricForm.from_matrix(exactla.congruence(form.matrix, U), exact=True,
-                                            tol=form.space.tol)
+        M = exactla.congruence(form.matrix, U)
+        return U, M, _congruence_factorization(M)
     U = np.linalg.qr(U)[0]
-    return U, restrict_to(form, Subspace(U))
+    M = _pullback(form.matrix, U)
+    return U, M, _pencil_factorization(M, _pullback(form.space.gram, U), factor(form).scale)
 
 
 def predict_multi(form: SymmetricForm, phis,
@@ -280,11 +287,11 @@ def predict_multi(form: SymmetricForm, phis,
     duals = _range_duals(form, basis, tol, warnings)
     drop, change, gram = 0, len(duals) - basis.shape[1], None
     if duals:
-        pairing = _on_span(form, duals)[1]
-        counts = inertia(pairing, tol)
+        _, gram, pairing = _on_span(form, duals)
+        counts = pairing.inertia(tol)
         if counts.marginal:
             warnings.append("pairing matrix spectrum has marginal eigenvalues")
-        drop, change, gram = counts.negative + counts.zero, change + counts.zero, pairing.matrix
+        drop, change = counts.negative + counts.zero, change + counts.zero
     return MultiConstraintReport(duals, gram, drop, change, tuple(warnings))
 
 
@@ -295,8 +302,8 @@ def diagonalize_duals(form: SymmetricForm, duals,
     duals = [as_backend_vector(u, form.exact) for u in duals]
     if _row_space(form, duals, tol).shape[1] < len(duals):
         raise DependentInput("dual vectors are linearly dependent")
-    U, pairing = _on_span(form, duals)
-    out = U.dot(factor(pairing).vectors)
+    U, _, pairing = _on_span(form, duals)
+    out = U.dot(pairing.vectors)
     return [out[:, i] for i in range(out.shape[1])]
 
 

@@ -1,5 +1,7 @@
 """Core form machinery: inertia on both backends, decomposition,
 restriction oracle, projections, maximal negative subspaces."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,12 +10,14 @@ from fractions import Fraction
 from morsekit import exactla
 from morsekit.bilinear import (
     Factorization,
+    Inertia,
     InnerProductSpace,
     SturmFactorization,
     SymmetricForm,
     Tridiagonal,
     _eigh,
     factor,
+    float_row_split,
     fundamental_decomposition,
     inertia,
     kernel_intersection,
@@ -29,6 +33,7 @@ from morsekit.bilinear import (
     tridiagonal_negatives,
 )
 from morsekit.errors import (
+    EigensolverFailure,
     IsotropicDirection,
     NonSymmetric,
     NotNegativeDirection,
@@ -131,11 +136,17 @@ def test_well_conditioned_gram_needs_no_eigenvalues(monkeypatch):
 
 
 def test_from_matrix_converts_an_exact_matrix_once(count_calls):
-    # one conversion for the matrix and one for the identity gram
+    # one conversion for the matrix; the identity gram is built exact
     calls = count_calls(exactla, "frac_matrix")
     form = SymmetricForm.from_matrix(np.array([[1, 2], [2, Fraction(-1, 3)]], dtype=object))
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert form.exact and form.matrix[1, 1] == Fraction(-1, 3)
+    assert form.space.gram.tolist() == [[1, 0], [0, 1]]
+    # a given gram is converted once too, whatever its input type
+    form = SymmetricForm.from_matrix(np.array([[1, 2], [2, Fraction(-1, 3)]], dtype=object),
+                                     gram=[[2, 1], [1, Fraction(3, 2)]], exact=True)
+    assert len(calls) == 3
+    assert form.space.exact and form.space.gram[1, 1] == Fraction(3, 2)
 
 
 def test_diagonal_exact_gram_needs_no_congruence(count_calls):
@@ -759,3 +770,59 @@ def test_solve_tridiagonal_errors_and_order_one():
     assert np.array_equal(solve_tridiagonal(np.array([2.0]), np.empty(0), np.array([3.0])), [1.5])
     assert np.array_equal(solve_tridiagonal(np.array([4.0]), np.empty(0), np.ones((1, 2))),
                           [[0.25, 0.25]])
+
+
+# ---------------------------------------------------------------------------
+# direct LAPACK calls: bitwise scipy's defaults
+
+def test_eigh_is_bitwise_scipys_eigh():
+    rng = np.random.default_rng(41)
+    for n in (0, 1, 8, 64):
+        m, c = rng.standard_normal((2, n, n))
+        A, G = m + m.T, c.dot(c.T) + np.eye(n)
+        for gram in (None, G):
+            w, v = _eigh(A, gram)
+            want_w, want_v = scipy.linalg.eigh(A, gram)
+            assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+            w, v = _eigh(A, gram, vectors=False)
+            assert np.array_equal(w, scipy.linalg.eigh(A, gram, eigvals_only=True))
+            assert v is None
+
+
+def test_eigh_refuses_a_singular_gram_and_non_finite_input():
+    A = np.diag([1.0, 2.0])
+    for vectors in (True, False):
+        with pytest.raises(EigensolverFailure):
+            _eigh(A, np.diag([1.0, 0.0]), vectors)
+        for bad in (np.inf, np.nan):
+            for matrix, gram in ((np.diag([bad, 1.0]), None), (A, np.diag([1.0, bad]))):
+                with pytest.raises(EigensolverFailure):
+                    _eigh(matrix, gram, vectors)
+
+
+def test_float_row_split_is_bitwise_scipys_pivoted_qr():
+    rng = np.random.default_rng(43)
+    deficient = rng.standard_normal((4, 2)).dot(rng.standard_normal((2, 6)))
+    # k rows on R^n: fewer rows than columns, more, rank-deficient, empty
+    for F in (rng.standard_normal((2, 5)), rng.standard_normal((6, 3)), deficient,
+              deficient.T, np.zeros((2, 3)), np.empty((0, 4)), np.empty((3, 0))):
+        before = F.copy()
+        for mode in ("full", "economic"):
+            Q, r = float_row_split(F, DEFAULT, mode)
+            want_Q, R, _ = scipy.linalg.qr(F.T, pivoting=True, mode=mode)
+            d = np.abs(np.diag(R))
+            want_r = int(np.sum(d > DEFAULT.rank * d[0])) if d.size and d[0] > 0 else 0
+            assert np.array_equal(Q, want_Q) and r == want_r
+        assert np.array_equal(F, before)
+    assert float_row_split(deficient, DEFAULT)[1] == 2
+    with pytest.raises(ValueError):
+        float_row_split(np.array([[1.0, np.nan]]), DEFAULT)
+
+
+def test_oracle_pullback_does_not_overflow_near_the_float_range_end():
+    # B^T A B = 1.5e308 is finite, but the sum M + M^T of its symmetrizing
+    # is not; the oracle halves first
+    form = float_form(np.diag([1.5e308, 1.5e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert restricted_inertia(form, [np.array([1.0, -1.0])]) == Inertia(0, 0, 1)

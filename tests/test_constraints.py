@@ -554,6 +554,38 @@ def test_exact_analyze_diagonalizes_twice_and_restricts_nothing(count_calls):
     assert restricted == []
 
 
+def test_float_joint_prediction_validates_nothing_it_built(count_calls):
+    # the pairing pencil (U^T A U, U^T G U) and the oracle's (B^T A B,
+    # B^T G B) are symmetric and positive definite by construction, so
+    # once the input form is built no matrix is checked again
+    rng = np.random.default_rng(23)
+    m, c = rng.standard_normal((2, 5, 5))
+    form = SymmetricForm.from_matrix(m + m.T, c.dot(c.T) + np.eye(5))
+    symmetric = count_calls(bilinear, "_check_symmetric")
+    definite = count_calls(bilinear, "_positive_definite")
+    rep = analyze(form, list(rng.standard_normal((3, 5))))
+    assert rep.agreement
+    assert symmetric == [] and definite == []
+
+
+def test_exact_joint_prediction_converts_only_the_constraints(count_calls):
+    # each constraint is converted by analyze and again by the oracle's
+    # kernel_intersection; the pairing matrix is counted as it comes from
+    # the congruence, with no form, gram or check built around it
+    form = SymmetricForm.from_matrix(
+        exactla.frac_matrix([[2, 1, 0, 0], [1, 0, Fraction(1, 3), 0],
+                             [0, Fraction(1, 3), -1, 2], [0, 0, 2, 1]]),
+        gram=exactla.frac_matrix(np.diag([1, 2, 1, 3])))
+    phis = [fv([1, -1, 2, 0]), fv([0, 1, 0, 1]), fv([3, 0, 0, -1])]
+    converted = count_calls(exactla, "frac_matrix")
+    symmetric = count_calls(bilinear, "_check_symmetric")
+    definite = count_calls(bilinear, "_positive_definite")
+    rep = analyze(form, phis)
+    assert rep.agreement
+    assert len(converted) == 2 * len(phis)
+    assert symmetric == [] and definite == []
+
+
 def test_functional_wrapper_call():
     phi = Functional(fv([1, -2]))
     assert phi(fv([3, 1])) == 1
