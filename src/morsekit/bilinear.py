@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import exactla
+from ._lapack import (dgeqp3, dgeqrf, dgtsv, dnrm2, dorgqr, dpotrf, dpttrf, dstebz,
+                      dsyevr, dsyevr_lwork, dsygvd)
 from .errors import (
     EigensolverFailure,
     IsotropicDirection,
@@ -97,17 +98,16 @@ def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.
     """The solution of T x = rhs for the symmetric tridiagonal T with these
     bands (LAPACK dgtsv, LU with partial pivoting, the routine behind
     ``scipy.linalg.solve_banded((1, 1), ...)``); vectors or n x k blocks.
-    Raises scipy.linalg.LinAlgError when T is exactly singular and
-    ValueError on inf or NaN input."""
-    if diag.shape[0] < 2:
-        ab = np.zeros((3, diag.shape[0]))
-        ab[1] = diag
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    T of order 1 divides, and T of order 0 gives an empty result, as
+    solve_banded does.  Raises numpy.linalg.LinAlgError when T is exactly
+    singular and ValueError on inf or NaN input."""
     if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, _, x, info = scipy.linalg.lapack.dgtsv(off, diag, off, rhs)
+    if diag.shape[0] < 2:
+        return rhs / diag[0] if diag.shape[0] else np.empty_like(rhs, dtype=float)
+    _, _, _, x, info = dgtsv(off, diag, off, rhs)
     if info > 0:
-        raise scipy.linalg.LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError("singular matrix")
     return x
 
 
@@ -116,7 +116,7 @@ def _ldl_definite(diag: np.ndarray, off: np.ndarray) -> bool:
     positive definite: every pivot of its LDL^T (LAPACK dpttrf) is."""
     if diag.shape[0] < 2:
         return bool(np.all(diag > 0.0))
-    return scipy.linalg.lapack.dpttrf(diag, off)[2] == 0
+    return dpttrf(diag, off)[2] == 0
 
 
 def as_backend_matrix(matrix, exact: bool | None = None) -> np.ndarray:
@@ -173,14 +173,13 @@ def _eigh(matrix: np.ndarray, gram: np.ndarray | None = None, vectors: bool = Tr
         return np.empty(0), (np.empty((0, 0)) if vectors else None)
     if not (np.isfinite(matrix).all() and (gram is None or np.isfinite(gram).all())):
         raise EigensolverFailure("array must not contain infs or NaNs")
-    lapack = scipy.linalg.lapack
     if gram is None:
-        work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
+        work, iwork, info = dsyevr_lwork(n, lower=1)
         if info == 0:
-            w, v, _, _, info = lapack.dsyevr(matrix, compute_v=int(vectors), lower=1,
-                                             lwork=int(work), liwork=int(iwork))
+            w, v, _, _, info = dsyevr(matrix, compute_v=int(vectors), lower=1,
+                                      lwork=int(work), liwork=int(iwork))
     else:
-        w, v, info = lapack.dsygvd(matrix, gram, jobz="V" if vectors else "N", uplo="L")
+        w, v, info = dsygvd(matrix, gram, jobz="V" if vectors else "N", uplo="L")
     if info > n and gram is not None:
         raise EigensolverFailure(f"the leading minor of order {info - n} of the gram "
                                  "is not positive definite")
@@ -230,8 +229,7 @@ def _cholesky_clears_band(g: np.ndarray, tol: Tolerances) -> bool:
     shifted.flat[::g.shape[0] + 1] -= _clearing_shift(g, float(np.linalg.norm(g, np.inf)), tol)
     # the transpose is the Fortran-ordered view LAPACK factors in place; its
     # upper triangle is the lower triangle eigvalsh reads
-    _, info = scipy.linalg.lapack.dpotrf(shifted.T, lower=False, overwrite_a=True,
-                                         clean=False)
+    _, info = dpotrf(shifted.T, lower=False, overwrite_a=True, clean=False)
     return info == 0
 
 
@@ -432,8 +430,14 @@ def _cosine_to(K: np.ndarray, f: np.ndarray) -> float:
     K; 0 when K has none."""
     if K.shape[1] == 0:
         return 0.0
+    # scipy.linalg.norm refuses these, and it is dnrm2 for a float vector
+    if not np.isfinite(f).all():
+        raise ValueError("array must not contain infs or NaNs")
+    y = orthonormal_basis(K).T.dot(f)
+    if not np.isfinite(y).all():
+        raise ValueError("array must not contain infs or NaNs")
     # BLAS norms scale internally: f may be near the float range ends
-    return float(scipy.linalg.norm(np.linalg.qr(K)[0].T.dot(f)) / scipy.linalg.norm(f))
+    return float(dnrm2(y) / dnrm2(f))
 
 
 def sturm_negatives(diag: np.ndarray, off: np.ndarray, border: np.ndarray | None = None) -> int:
@@ -493,8 +497,7 @@ def tridiagonal_negatives(diag: np.ndarray, off: np.ndarray) -> int:
     n = diag.shape[0]
     if n < 2:
         return sturm_negatives(diag, off)
-    m, _, _, _, info = scipy.linalg.lapack.dstebz(-diag, -off, 1, -math.inf, 0.0, 0, 0,
-                                                  math.inf, "B")
+    m, _, _, _, info = dstebz(-diag, -off, 1, -math.inf, 0.0, 0, 0, math.inf, "B")
     if info:
         raise EigensolverFailure(f"LAPACK dstebz failed (info {info})")
     return n - m
@@ -721,7 +724,7 @@ class SturmFactorization:
                 x = solve_tridiagonal(d, e, rhs)
             if np.all(np.isfinite(x)):
                 return x
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             pass
         nudge = _EPS * (self.scale or 1.0)
         return solve_tridiagonal(d - nudge * self.gram.diag, e - nudge * self.gram.off, rhs)
@@ -882,15 +885,31 @@ def float_row_split(F: np.ndarray, tol: Tolerances,
         return (np.eye(m) if mode == "full" else np.empty((m, 0))), 0
     if not np.isfinite(F).all():
         raise ValueError("array must not contain infs or NaNs")
-    qr, _, tau = _queried(scipy.linalg.lapack.dgeqp3, F.T)
+    qr, _, tau = _queried(dgeqp3, F.T)
     d = np.abs(np.diag(qr))
     if m < k:
         qr = qr[:, :m]
     elif mode == "full":
         qr = np.concatenate([qr, np.empty((m, m - k))], axis=1)
-    Q, = _queried(scipy.linalg.lapack.dorgqr, qr, tau, overwrite_a=1)
+    Q, = _queried(dorgqr, qr, tau, overwrite_a=1)
     r = int(np.sum(d > tol.rank * d[0])) if d[0] > 0 else 0
     return Q, r
+
+
+def orthonormal_basis(K: np.ndarray) -> np.ndarray:
+    """The Q of the reduced QR factorization of the float matrix K, whose
+    columns are an orthonormal basis of K's columns when they are
+    independent: LAPACK dgeqrf, then dorgqr, each with the workspace its
+    own query returns, as ``np.linalg.qr(K)[0]`` calls them, so Q is
+    bitwise its result; it is returned in C order, as numpy's, because
+    products with it sum in an order set by its layout.  K without
+    columns gives Q without columns."""
+    m, n = K.shape
+    if n == 0:
+        return np.empty((m, 0))
+    qr, tau = _queried(dgeqrf, K)
+    Q, = _queried(dorgqr, qr[:, :m] if m < n else qr, tau, overwrite_a=1)
+    return np.ascontiguousarray(Q)
 
 
 def _queried(routine, *args, **kwargs) -> tuple:
@@ -978,14 +997,30 @@ def restrict_to(form: SymmetricForm, sub: Subspace) -> SymmetricForm:
 def rayleigh(form: SymmetricForm, u, tol: Tolerances | None = None):
     """(S(u, u) / <u, u>, zero band): S(u, u) counts as zero when the
     quotient lies in the band.  Floating u is scaled to unit largest entry
-    first, so no square of a huge or tiny vector is formed."""
+    first, so no square of a huge or tiny vector is formed, and then by
+    2^-k for the least k >= 0 that keeps n^2 m 2^-2k, a bound of every
+    partial sum of u^T A u and u^T G u when m is the largest entry of A
+    and G, below 2^1023: the quotient is finite for every finite form,
+    and a power of two changes no rounding short of underflow."""
     u = as_backend_vector(u, form.exact)
     band = 0 if form.exact else factor(form).band(tol or form.space.tol)
     if not np.any(u):
         return 0, band
     if not form.exact:
         u = u / np.max(np.abs(u))
+        m = max(_largest_entry(form.matrix), _largest_entry(form.space.gram))
+        k = (math.frexp(m)[1] + 2 * form.dim.bit_length() - 1022) // 2
+        if k > 0:
+            u = u * math.ldexp(1.0, -k)
     return form.quadratic(u) / form.space.norm_sq(u), band
+
+
+def _largest_entry(matrix) -> float:
+    """The largest absolute entry of a dense float or tridiagonal matrix."""
+    if isinstance(matrix, Tridiagonal):
+        return max(float(np.max(np.abs(matrix.diag), initial=0.0)),
+                   float(np.max(np.abs(matrix.off), initial=0.0)))
+    return float(np.max(np.abs(matrix), initial=0.0))
 
 
 def s_project(form: SymmetricForm, u, v, tol: Tolerances | None = None) -> np.ndarray:

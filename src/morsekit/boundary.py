@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import dsygvd
 from .bilinear import (
     InnerProductSpace,
     SturmFactorization,
@@ -45,6 +45,7 @@ from .bilinear import (
 from .constraints import ConstrainedReport, Functional, analyze, as_functional
 from .errors import (
     DegenerateDirichletKernel,
+    EigensolverFailure,
     InvalidCoefficients,
     ZeroBoundaryWeight,
 )
@@ -309,7 +310,12 @@ def steklov_spectrum(problem: AssembledProblem,
     neg, zero, _, marginal = classify_spectrum(w, tol)
     b = neg
     if q_a > 0 and q_b > 0:
-        mu = tuple(float(v) for v in scipy.linalg.eigh(T, D_B, eigvals_only=True))
+        # the driver and call of scipy.linalg.eigh(T, D_B, eigvals_only=True);
+        # _eigh is kept for the dense n x n spectra, which a pde op never forms
+        w_mu, _, info = dsygvd(T, D_B, jobz="N", uplo="L")
+        if info:
+            raise EigensolverFailure(f"LAPACK dsygvd failed (info {info})")
+        mu = tuple(float(v) for v in w_mu)
     else:
         # one zero weight: eliminate its direction; one finite eigenvalue
         # survives, the other escapes to infinity

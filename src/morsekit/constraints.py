@@ -29,6 +29,7 @@ from .bilinear import (
     factor,
     float_row_split,
     inertia,
+    orthonormal_basis,
     rayleigh,
     restricted_inertia,
 )
@@ -246,7 +247,7 @@ def _range_duals(form: SymmetricForm, basis: np.ndarray, tol: Tolerances, warnin
     if form.exact:
         coords = exactla.nullspace(K.T.dot(basis))
     else:
-        _, sigma, Vt = np.linalg.svd(np.linalg.qr(K)[0].T.dot(basis))
+        _, sigma, Vt = np.linalg.svd(orthonormal_basis(K).T.dot(basis))
         sigma = np.concatenate([sigma, np.zeros(basis.shape[1] - sigma.size)])
         warnings.extend(_marginal_cosines(sigma, "the constraint span", tol))
         coords = Vt[sigma <= tol.residual]
@@ -265,7 +266,7 @@ def _on_span(form: SymmetricForm, duals: list) -> tuple[np.ndarray, np.ndarray, 
     if form.exact:
         M = exactla.congruence(form.matrix, U)
         return U, M, _congruence_factorization(M)
-    U = np.linalg.qr(U)[0]
+    U = orthonormal_basis(U)
     M = _pullback(form.matrix, U)
     return U, M, _pencil_factorization(M, _pullback(form.space.gram, U), factor(form).scale)
 

@@ -1,13 +1,17 @@
 """Core form machinery: inertia on both backends, decomposition,
 restriction oracle, projections, maximal negative subspaces."""
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from fractions import Fraction
 
-from morsekit import exactla
+import morsekit
+from morsekit import _lapack, exactla
 from morsekit.bilinear import (
     Factorization,
     Inertia,
@@ -15,6 +19,7 @@ from morsekit.bilinear import (
     SturmFactorization,
     SymmetricForm,
     Tridiagonal,
+    _cosine_to,
     _eigh,
     factor,
     float_row_split,
@@ -24,6 +29,8 @@ from morsekit.bilinear import (
     maximal_negative_subspace_through,
     morse_index,
     nullity,
+    orthonormal_basis,
+    rayleigh,
     restrict,
     restrict_to,
     restricted_inertia,
@@ -32,6 +39,7 @@ from morsekit.bilinear import (
     sturm_negatives,
     tridiagonal_negatives,
 )
+from morsekit.constraints import analyze
 from morsekit.errors import (
     EigensolverFailure,
     IsotropicDirection,
@@ -770,6 +778,9 @@ def test_solve_tridiagonal_errors_and_order_one():
     assert np.array_equal(solve_tridiagonal(np.array([2.0]), np.empty(0), np.array([3.0])), [1.5])
     assert np.array_equal(solve_tridiagonal(np.array([4.0]), np.empty(0), np.ones((1, 2))),
                           [[0.25, 0.25]])
+    for rhs in (np.empty(0), np.empty((0, 2))):
+        x = solve_tridiagonal(np.empty(0), np.empty(0), rhs)
+        assert x.shape == rhs.shape and x.dtype == float
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +828,79 @@ def test_float_row_split_is_bitwise_scipys_pivoted_qr():
     assert float_row_split(deficient, DEFAULT)[1] == 2
     with pytest.raises(ValueError):
         float_row_split(np.array([[1.0, np.nan]]), DEFAULT)
+
+
+def test_orthonormal_basis_is_bitwise_numpys_qr():
+    rng = np.random.default_rng(44)
+    shapes = [(m, n) for m in range(1, 17) for n in range(m + 1)] + [(3, 5), (2, 7), (4, 0)]
+    for m, n in shapes:
+        K = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-5.0, 4.0)
+        for layout in (K, np.asfortranarray(K), K[:, ::-1]):
+            Q, want = orthonormal_basis(layout), np.linalg.qr(layout)[0]
+            assert np.array_equal(Q, want) and Q.flags.c_contiguous == want.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK and BLAS door: scipy's compiled routines without scipy.linalg
+
+SRC = str(Path(morsekit.__file__).resolve().parents[1])
+
+
+def _fresh(code: str) -> str:
+    """stdout of a fresh interpreter that finds morsekit in its source
+    tree and runs code."""
+    return subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r}); "
+                           + code], capture_output=True, text=True, check=True).stdout
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    for module in ("morsekit", "morsekit.cli"):
+        out = _fresh(f"import {module}; print('scipy.linalg' in sys.modules)")
+        assert out.split() == ["False"]
+
+
+def test_scipy_linalg_shares_the_loaded_routines():
+    for first, second in (("morsekit", "scipy.linalg"), ("scipy.linalg", "morsekit")):
+        out = _fresh(f"import {first}, {second}, scipy.linalg, morsekit._lapack as m; "
+                     "print(scipy.linalg.lapack.dsyevr is m.dsyevr, "
+                     "scipy.linalg.blas.dnrm2 is m.dnrm2)")
+        assert out.split() == ["True", "True"]
+
+
+def test_a_missing_extension_file_is_an_import_error():
+    with pytest.raises(ImportError, match="_nosuch"):
+        _lapack._load("_nosuch")
+    assert "scipy.linalg._nosuch" not in sys.modules
+
+
+def test_dnrm2_is_scipys_norm_near_the_float_range_ends():
+    rng = np.random.default_rng(45)
+    for c in (5e-324, 1e-310, 1e-300, 1.0, 1e300, 1e307, 1.7e308):
+        for n in (1, 2, 5, 16):
+            v = c * rng.uniform(-1.0, 1.0, n)
+            assert _lapack.dnrm2(v) == scipy.linalg.norm(v)
+    K = np.array([[1.0], [0.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            _cosine_to(K, np.array([1.0, bad]))
+
+
+def test_rayleigh_is_finite_near_the_float_range_end():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        form = float_form(np.diag([1.5e308, 1.5e308]))
+        assert rayleigh(form, np.array([1.0, -1.0]))[0] == 1.5e308
+        huge_gram = float_form(np.diag([1.5e308, 1.5e308]), gram=np.diag([1e308, 1e308]))
+        assert rayleigh(huge_gram, np.array([1.0, -1.0]))[0] == 1.5e308 / 1e308
+        assert analyze(form, [np.array([1.0, -1.0])]).agreement
+    # in the normal range u is scaled to unit largest entry alone
+    rng = np.random.default_rng(46)
+    for n in (1, 3, 8):
+        m = rng.standard_normal((n, n))
+        form = float_form(m + m.T, gram=np.eye(n) + 0.1 * np.diag(rng.uniform(size=n)))
+        u = rng.standard_normal(n)
+        v = u / np.max(np.abs(u))
+        assert rayleigh(form, u)[0] == form.quadratic(v) / form.space.norm_sq(v)
 
 
 def test_oracle_pullback_does_not_overflow_near_the_float_range_end():

@@ -332,6 +332,15 @@ def test_steklov_flat_potential_boundary_matrix():
         assert res.b == 1  # T - I has eigenvalues -1 and 1
 
 
+def test_steklov_mu_is_bitwise_scipys_eigh():
+    for n, p, q_a, q_b in ((1, Constant(0.0), 1.0, 1.0), (8, Constant(-30.0), 0.4, 1.3),
+                           (40, Polynomial((60.0, -20.0, 35.0)), 2.0, 0.7)):
+        prob = problem(0.0, 1.0, n, p, q_a, q_b)
+        want = scipy.linalg.eigh(boundary._schur_boundary(prob), np.diag([q_a, q_b]),
+                                 eigvals_only=True)
+        assert steklov_spectrum(prob).mu == tuple(want.tolist())
+
+
 def test_steklov_inertia_count_tracks_weight():
     # eigenvalues of T - q0 I are -q0 and 2 - q0
     res1 = steklov_spectrum(problem(0.0, 1.0, 8, Constant(0.0), 3.0, 3.0))
