@@ -546,9 +546,13 @@ class SturmFactorization:
     def _definite(self, s: float, sign: int) -> bool:
         """Whether sign * (matrix - s * gram) is positive definite, by a
         LAPACK LDL^T: then no eigenvalue lies below s (sign 1), or none at
-        or above s (sign -1)."""
-        d, e = self.matrix.shifted(s, self.gram)
-        return _ldl_definite(sign * d, sign * e)
+        or above s (sign -1).  s * gram - matrix is formed directly: it is
+        bitwise the negation of matrix - s * gram but for the sign of a
+        zero, which no pivot test sees."""
+        A, G = self.matrix, self.gram
+        if sign > 0:
+            return _ldl_definite(*A.shifted(s, G))
+        return _ldl_definite(s * G.diag - A.diag, s * G.off - A.off)
 
     def _bounds(self) -> tuple[float, float]:
         """(lo, hi) with every eigenvalue in (lo, hi), each end proven by
@@ -1008,15 +1012,24 @@ def rayleigh(form: SymmetricForm, u, tol: Tolerances | None = None):
         return 0, band
     if not form.exact:
         u = u / np.max(np.abs(u))
-        m = max(_largest_entry(form.matrix), _largest_entry(form.space.gram))
-        k = (math.frexp(m)[1] + 2 * form.dim.bit_length() - 1022) // 2
+        k = _headroom(form)
         if k > 0:
             u = u * math.ldexp(1.0, -k)
     return form.quadratic(u) / form.space.norm_sq(u), band
 
 
+def _headroom(form: SymmetricForm, reach: int = 0) -> int:
+    """The least k >= 0 that keeps n^2 m 2^(2 reach - 2k) below 2^1023, m
+    the largest entry of A and G: a bound of every partial sum of x^T A y
+    and x^T G y for x, y with entries below 2^reach (at most 1 for reach
+    0), so none overflows once x and y are scaled by 2^-k."""
+    m = max(_largest_entry(form.matrix), _largest_entry(form.space.gram))
+    return max(0, (math.frexp(m)[1] + 2 * reach + 2 * form.dim.bit_length() - 1022) // 2)
+
+
 def _largest_entry(matrix) -> float:
-    """The largest absolute entry of a dense float or tridiagonal matrix."""
+    """The largest absolute entry of a vector, or of a dense float or
+    tridiagonal matrix."""
     if isinstance(matrix, Tridiagonal):
         return max(float(np.max(np.abs(matrix.diag), initial=0.0)),
                    float(np.max(np.abs(matrix.off), initial=0.0)))
@@ -1024,12 +1037,21 @@ def _largest_entry(matrix) -> float:
 
 
 def s_project(form: SymmetricForm, u, v, tol: Tolerances | None = None) -> np.ndarray:
-    """Component of v along u with respect to the form: (S(u,v)/S(u,u)) u."""
+    """Component of v along u with respect to the form: (S(u,v)/S(u,u)) u.
+    Floating u and v are both scaled by the power of two of ``_headroom``
+    for their largest entry, which leaves the ratio bitwise unchanged short
+    of underflow, so it is finite for every finite form."""
     u = as_backend_vector(u, form.exact)
     quotient, band = rayleigh(form, u, tol)
     if abs(quotient) <= band:
         raise IsotropicDirection("S(u, u) vanishes within the zero band")
-    return (form.evaluate(u, v) / form.quadratic(u)) * u
+    x, y = u, v
+    if not form.exact:
+        y = as_backend_vector(v, False)
+        k = _headroom(form, math.frexp(max(_largest_entry(u), _largest_entry(y)))[1])
+        if k > 0:
+            x, y = u * math.ldexp(1.0, -k), y * math.ldexp(1.0, -k)
+    return (form.evaluate(x, y) / form.quadratic(x)) * u
 
 
 def maximal_negative_subspace_through(form: SymmetricForm, u,

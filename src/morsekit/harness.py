@@ -46,13 +46,12 @@ def _load_schema(name: str) -> dict:
 
 @functools.cache
 def _problem_validator():
-    """The problem schema's validator, built and checked against its
-    metaschema once per process, as ``jsonschema.validate`` would on
-    every call."""
+    """The problem schema's validator, built once per process.  The
+    shipped schema is not checked against its metaschema here, as
+    ``jsonschema.validate`` would on every call; the test suite makes that
+    check once (``test_shipped_schemas_are_valid``)."""
     schema = _load_schema("problem.schema.json")
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,13 +397,12 @@ def random_unimodular(rng: np.random.Generator, n: int) -> np.ndarray:
     # rows are Python int lists: at dim <= 12, numpy scalar arithmetic
     # costs more than the work
     B = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(n + 4):
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
+    # one bulk draw takes the same stream as the (i, j, c) scalar draws of
+    # each step in turn; c indexes the multipliers as rng.choice would
+    for i, j, c in rng.integers((n, n - 1, 4), size=(n + 4, 3)).tolist():
         if j >= i:
             j += 1
-        # draws the same stream as rng.choice over the four multipliers
-        c = (-2, -1, 1, 2)[rng.integers(4)]
+        c = (-2, -1, 1, 2)[c]
         candidate = [x + c * y for x, y in zip(B[i], B[j])]
         if max(map(abs, candidate)) <= 300:
             B[i] = candidate
@@ -483,6 +481,23 @@ def _make_multi_instance(rng: np.random.Generator, dim_max: int, k: int):
 _BRANCH_OF_EFFECT = {effect: branch for branch, effect in BRANCH_EFFECT.items()}
 
 
+def _draw_trial(seed: int, t: int, dim_max: int, k_choices: tuple | None):
+    """(branch, form, constraints) of trial t of a ``fuzz`` campaign, from
+    its own generator stream (seed, t)."""
+    rng = np.random.default_rng([seed, t])
+    if k_choices is not None:
+        branch = f"multi:{k_choices[t % len(k_choices)]}"
+    else:
+        branch = _DEFAULT_CYCLE[t % len(_DEFAULT_CYCLE)]
+    if branch.startswith("multi:"):
+        k = min(int(branch.split(":")[1]), dim_max - 1)
+        branch = f"multi:{k}"
+        A, fs = _make_multi_instance(rng, dim_max, k)
+    else:
+        A, fs = _make_single_instance(rng, dim_max, branch)
+    return branch, A, fs
+
+
 def _instance_dump(trial: int, branch: str, A: np.ndarray, fs: list) -> dict:
     return {
         "trial": trial,
@@ -532,19 +547,7 @@ def fuzz(seed: int, trials: int, dim_max: int = 8, backend: str = "exact",
     generator_mismatches: list[dict] = []
 
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        if k_choices is not None:
-            branch = f"multi:{k_choices[t % len(k_choices)]}"
-        else:
-            branch = _DEFAULT_CYCLE[t % len(_DEFAULT_CYCLE)]
-        if branch.startswith("multi:"):
-            k = int(branch.split(":")[1])
-            if k > dim_max - 1:
-                k = dim_max - 1
-                branch = f"multi:{k}"
-            A, fs = _make_multi_instance(rng, dim_max, k)
-        else:
-            A, fs = _make_single_instance(rng, dim_max, branch)
+        branch, A, fs = _draw_trial(seed, t, dim_max, k_choices)
         branch_counts[branch] = branch_counts.get(branch, 0) + 1
 
         form = SymmetricForm.from_matrix(A, exact=exact, tol=tol)

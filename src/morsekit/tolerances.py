@@ -4,8 +4,10 @@ Every floating count goes through one rule, ``classify_counts``: with
 tau = null_band * (spectral radius of the parent pencil), the eigenvalues
 below -tau are negative, those in the band zero, and any within
 (1 + marginal_factor) * tau of zero flags the counts marginal rather than
-trusted.  With no absolute floor, scaling a form or a
-constraint moves no count.  Restrictions of the parent inherit its band: by
+trusted.  The counts are asked at -+(1 + marginal_factor) * tau first,
+and at -+tau only when that marginal window holds an eigenvalue.  With no
+absolute floor, scaling a form or a constraint moves no count.
+Restrictions of the parent inherit its band: by
 Cauchy interlacing their spectra lie inside the parent's, and their
 rounding error scales with the parent.  The exact backend never consults
 these numbers.
@@ -63,15 +65,21 @@ def zero_band(scale: float, tol: Tolerances) -> float:
 def classify_counts(below, dim: int, scale: float,
                     tol: Tolerances) -> tuple[int, int, int, bool]:
     """(negative, zero, positive, marginal) of dim values whose count below
-    s is ``below(s)``, from the counts at -+tau, tau the ``zero_band`` of
-    scale, and at -+(1 + marginal_factor) tau.  A nonempty spectrum of
-    scale 0 is all zero, and marginal."""
+    s is ``below(s)``, tau the ``zero_band`` of scale.  The counts at
+    -+(1 + marginal_factor) tau come first: when they agree the window
+    between them is empty, and for a count monotone in s those at -+tau
+    agree with them.  Only an occupied window, which is marginal, is
+    counted at -+tau as well.  A nonempty spectrum of scale 0 is all zero,
+    and marginal."""
     if scale == 0.0 or dim == 0:
         return 0, dim, 0, dim > 0
     tau = zero_band(scale, tol)
     edge = (1.0 + tol.marginal_factor) * tau
+    low, high = below(-edge), below(edge)
+    if high == low:
+        return low, 0, dim - low, False
     neg, up = below(-tau), below(tau)
-    return neg, up - neg, dim - up, below(edge) - below(-edge) > 0
+    return neg, up - neg, dim - up, high > low
 
 
 def classify_spectrum(eigenvalues, tol: Tolerances,

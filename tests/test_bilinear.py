@@ -903,6 +903,22 @@ def test_rayleigh_is_finite_near_the_float_range_end():
         assert rayleigh(form, u)[0] == form.quadratic(v) / form.space.norm_sq(v)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_s_project_is_finite_near_the_float_range_end():
+    # S(u, u) = 3e308 overflows, but the projection 0.5 u does not
+    form = float_form(np.diag([1.5e308, 1.5e308]))
+    out = s_project(form, np.array([1.0, -1.0]), np.array([1.0, 0.0]))
+    assert out.tolist() == [0.5, -0.5]
+    # in the normal range the ratio is that of the unscaled vectors
+    rng = np.random.default_rng(47)
+    for n in (1, 3, 8):
+        m = rng.standard_normal((n, n))
+        form = float_form(m + m.T)
+        u, v = 1e3 * rng.standard_normal(n), rng.standard_normal(n)
+        want = (form.evaluate(u, v) / form.quadratic(u)) * u
+        assert s_project(form, u, v).tolist() == want.tolist()
+
+
 def test_oracle_pullback_does_not_overflow_near_the_float_range_end():
     # B^T A B = 1.5e308 is finite, but the sum M + M^T of its symmetrizing
     # is not; the oracle halves first

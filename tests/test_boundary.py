@@ -583,8 +583,20 @@ def test_interval_oracle_does_not_share_the_predictor_count(monkeypatch, count_c
     report = harness.run(harness.parse_problem(json.dumps(doc)))
     # harness.run turns the refusal into the report's error
     assert report.error is None and report.payloads["weak"].agreement
-    assert bordered == [(257, 2)] * 4
+    # the marginal window is empty: counted at its two edges alone
+    assert bordered == [(257, 2)] * 2
     assert len(lapack) > 20
+    # a constant potential on a constrained eigenvalue occupies the window,
+    # so the band edges are counted too
+    bordered.clear()
+    rng = np.random.default_rng(16)
+    doc = {"kind": "pde", "domain": {"a": 0.0, "b": 1.0, "n_elements": 64},
+           "p": {"constant": 37.001325}, "q_a": 0.4, "q_b": 1.3,
+           "constraints": [list(np.round(rng.uniform(-1.0, 1.0, 65), 3)) for _ in range(2)]}
+    report = harness.run(harness.parse_problem(json.dumps(doc)))
+    assert report.error is None
+    assert "restricted spectrum has marginal eigenvalues" in report.payloads["weak"].warnings
+    assert bordered == [(65, 2)] * 4
 
 
 def _near_zero_agrees(pair, w, scale):

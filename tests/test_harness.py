@@ -568,6 +568,26 @@ def test_fuzz_report_bytes_are_pinned(backend, digest, campaign):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("dim_max,k_choices,digest", [
+    (8, None, "3203ec8041a5161d4726c52450557ac5666984ad7c90e3d68c48914700ec0a42"),
+    (8, (2, 3, 5), "b612df3d99d67ae86e64c42844d71609ec7d28cb432b2678db94c12bfbda8953"),
+    (16, None, "c3a160ef691a23286596ad35a12bf968b0806abde67316cc5292cde759541a03"),
+    (16, (2, 3, 5), "2dff2fd59a707ed2a929378e695498a2d17af59042568026cb441aedae7aa657"),
+    (32, None, "29834db41c97f279fca2d83b12757786b1de5a8da00ba310d1782ca7ca3a8c99"),
+    (32, (2, 3, 5), "c3f11602b2ed6954e456b51b7f9dea337f6ced87843a8142fd3602b7a70f5f34"),
+])
+def test_fuzz_instances_are_pinned(dim_max, k_choices, digest):
+    # the generated forms and constraints themselves, 10 trials of seeds
+    # 0-49, so a change to how the generator draws cannot hide behind an
+    # unchanged agreement count
+    h = hashlib.sha256()
+    for seed in range(50):
+        for t in range(10):
+            branch, A, fs = harness._draw_trial(seed, t, dim_max, k_choices)
+            h.update(json.dumps(harness._instance_dump(t, branch, A, fs)).encode())
+    assert h.hexdigest() == digest
+
+
 def _pde_doc(n: int, p: list, **extra) -> dict:
     return {"kind": "pde", "domain": {"a": 0.0, "b": 1.0, "n_elements": n},
             "p": {"polynomial": p}, "q_a": 0.7, "q_b": 1.3, **extra}

@@ -27,6 +27,7 @@ from morsekit import constraints
 from morsekit.constraints import BRANCH_EFFECT, Decision
 from morsekit.errors import ImpossibleCounts, NonSymmetric, NotPositiveDefinite, ValidationError
 from morsekit.harness import random_unimodular
+from morsekit.tolerances import classify_counts, zero_band
 
 # deterministic examples, and no example database written to disk
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -205,6 +206,66 @@ def test_values_on_the_band_edges():
         assert (got.counts, got.marginal) == (counts, True), d
     with pytest.raises(NotPositiveDefinite):
         InnerProductSpace(np.diag([1.0, 1e-9]))
+
+
+def _four_counts(below, dim, scale, tol):
+    """The zero-band rule read off all four shifts, every time."""
+    if scale == 0.0 or dim == 0:
+        return 0, dim, 0, dim > 0
+    tau = zero_band(scale, tol)
+    edge = (1.0 + tol.marginal_factor) * tau
+    neg, up = below(-tau), below(tau)
+    return neg, up - neg, dim - up, below(edge) - below(-edge) > 0
+
+
+def _list_counter(values, asked=None):
+    """Counts below s of a list, closed at positive shifts as
+    ``classify_spectrum`` counts."""
+    w = np.asarray(values, dtype=float)
+
+    def below(s):
+        if asked is not None:
+            asked.append(s)
+        return int(np.count_nonzero(w < s if s < 0 else w <= s))
+    return below
+
+
+@st.composite
+def spectra(draw):
+    """(values, scale, tol): values on and near the band and window edges,
+    at 0 and anywhere within the scale; scale 0 and empty lists too."""
+    tol = Tolerances(marginal_factor=draw(st.sampled_from([1.0, 10.0, 37.5])))
+    scale = draw(st.sampled_from([0.0, 1.0, 3.0, 1e-300, 1e300]) | st.floats(1e-200, 1e200))
+    tau = zero_band(scale, tol)
+    edge = (1.0 + tol.marginal_factor) * tau
+    marks = [0.0, tau, -tau, edge, -edge, 0.5 * tau, -2.0 * tau, 1.5 * edge, -1.5 * edge]
+    value = (st.sampled_from(marks)
+             | st.floats(-2.0 * edge, 2.0 * edge)
+             | st.floats(-scale, scale))
+    return draw(st.lists(value, max_size=8)), scale, tol
+
+
+@PROPERTY
+@given(spectra())
+def test_edge_counts_first_match_the_four_count_rule(spectrum):
+    values, scale, tol = spectrum
+    below = _list_counter(values)
+    assert (classify_counts(below, len(values), scale, tol)
+            == _four_counts(below, len(values), scale, tol))
+
+
+def test_an_empty_window_is_counted_at_its_edges_alone():
+    tau = zero_band(5.0, DEFAULT)
+    edge = (1.0 + DEFAULT.marginal_factor) * tau
+    asked = []
+    below = _list_counter([-3.0, -1.0, 2.0, 5.0], asked)
+    assert classify_counts(below, 4, 5.0, DEFAULT) == (2, 0, 2, False)
+    assert asked == [-edge, edge]
+    # an eigenvalue in the window, outside the band, asks the band edges too
+    asked.clear()
+    below = _list_counter([-3.0, 5.0 * tau, 5.0], asked)
+    assert classify_counts(below, 3, 5.0, DEFAULT) == (1, 0, 2, True)
+    assert asked == [-edge, edge, -tau, tau]
 
 
 @pytest.mark.parametrize("name,value", [
