@@ -1038,15 +1038,18 @@ def _largest_entry(matrix) -> float:
 
 def s_project(form: SymmetricForm, u, v, tol: Tolerances | None = None) -> np.ndarray:
     """Component of v along u with respect to the form: (S(u,v)/S(u,u)) u.
-    Floating u and v are both scaled by the power of two of ``_headroom``
-    for their largest entry, which leaves the ratio bitwise unchanged short
-    of underflow, so it is finite for every finite form."""
+    Floating u is first scaled by a power of two to a largest entry in
+    [1/2, 1), so that a tiny u does not underflow S(u, u); then u and v are
+    both scaled by the power of two of ``_headroom`` for their largest
+    entry.  Powers of two leave the result bitwise unchanged short of
+    underflow, so it is finite for every finite form."""
     u = as_backend_vector(u, form.exact)
     quotient, band = rayleigh(form, u, tol)
     if abs(quotient) <= band:
         raise IsotropicDirection("S(u, u) vanishes within the zero band")
     x, y = u, v
     if not form.exact:
+        u = x = np.ldexp(u, -math.frexp(_largest_entry(u))[1])
         y = as_backend_vector(v, False)
         k = _headroom(form, math.frexp(max(_largest_entry(u), _largest_entry(y)))[1])
         if k > 0:

@@ -1,6 +1,9 @@
 """Problem-file ingestion, report emission, and seeded fuzz campaigns.
 
-Problem files are JSON documents validated against the shipped schema.
+Problem files are JSON documents validated against the shipped schema:
+``_conforms`` decides validity by walking ``problem.schema.json`` itself,
+and jsonschema is imported only when a document is refused, to word the
+refusal.
 Reports are dictionaries with a stable field order so that identical
 inputs produce byte-identical JSON; the text rendering is derived from
 the same dictionary.  Fuzz campaigns generate instances whose theorem
@@ -12,14 +15,15 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import time
 import traceback
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from importlib import resources
 from math import isfinite, isinf, isnan
+from typing import NoReturn
 
-import jsonschema
 import numpy as np
 
 from .bilinear import SymmetricForm
@@ -39,19 +43,109 @@ from .errors import ImpossibleCounts, MorsekitError, ParseError, ValidationError
 from .tolerances import DEFAULT, Tolerances
 
 
-def _load_schema(name: str) -> dict:
-    with resources.files("morsekit.schemas").joinpath(name).open("r") as fh:
+@functools.cache
+def _problem_schema() -> dict:
+    """The shipped problem schema: the one statement of the document rules."""
+    with resources.files("morsekit.schemas").joinpath("problem.schema.json").open("r") as fh:
         return json.load(fh)
 
 
 @functools.cache
 def _problem_validator():
-    """The problem schema's validator, built once per process.  The
-    shipped schema is not checked against its metaschema here, as
-    ``jsonschema.validate`` would on every call; the test suite makes that
-    check once (``test_shipped_schemas_are_valid``)."""
-    schema = _load_schema("problem.schema.json")
+    """jsonschema's validator of the problem schema, built once per process
+    and only when a document is refused: it words the refusal.  The shipped
+    schema is not checked against its metaschema here; the test suite makes
+    that check once (``test_shipped_schemas_are_valid``)."""
+    import jsonschema
+
+    schema = _problem_schema()
     return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+
+def _json_equal(a, b) -> bool:
+    """Equality of JSON values, under which no bool equals a number."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _local_ref(ref: str, root: dict):
+    if not ref.startswith("#/$defs/"):
+        raise ValueError(f"schema $ref {ref!r} is not a local #/$defs/ reference")
+    return root["$defs"][ref[len("#/$defs/"):]]
+
+
+# keyword -> check(doc, value, schema, root).  As in Draft 2020-12, each
+# keyword but type, enum, const, oneOf and $ref constrains only values of its
+# own JSON type; the bounds are negated comparisons, as jsonschema's are
+_KEYWORDS = {
+    "type": lambda d, t, s, r: _TYPES[t](d),
+    "enum": lambda d, values, s, r: any(_json_equal(d, v) for v in values),
+    "const": lambda d, value, s, r: _json_equal(d, value),
+    "required": lambda d, names, s, r: not isinstance(d, dict) or all(n in d for n in names),
+    "properties": lambda d, props, s, r: not isinstance(d, dict) or all(
+        _conforms(d[k], sub, r) for k, sub in props.items() if k in d),
+    "additionalProperties": lambda d, sub, s, r: not isinstance(d, dict) or all(
+        _conforms(d[k], sub, r) for k in d if k not in s.get("properties", ())),
+    "items": lambda d, sub, s, r: not isinstance(d, list) or all(_conforms(x, sub, r) for x in d),
+    "minItems": lambda d, n, s, r: not isinstance(d, list) or not len(d) < n,
+    "maxItems": lambda d, n, s, r: not isinstance(d, list) or not len(d) > n,
+    "minimum": lambda d, m, s, r: not _is_number(d) or not d < m,
+    "exclusiveMinimum": lambda d, m, s, r: not _is_number(d) or not d <= m,
+    "pattern": lambda d, p, s, r: not isinstance(d, str) or re.search(p, d) is not None,
+    "oneOf": lambda d, subs, s, r: sum(_conforms(d, sub, r) for sub in subs) == 1,
+    "$ref": lambda d, ref, s, r: _conforms(d, _local_ref(ref, r), r),
+}
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "$defs"})
+
+
+def _conforms(doc, schema, root: dict | None = None) -> bool:
+    """Whether a JSON value is valid under a schema, by Draft 2020-12, for
+    the keywords the problem schema uses.  Any other keyword raises
+    ValueError when it is reached: a schema edit cannot be skipped
+    silently.  ``root`` holds the ``$defs`` of ``$ref`` (default: schema)."""
+    if isinstance(schema, bool):
+        return schema
+    root = schema if root is None else root
+    for key, value in schema.items():
+        if key in _ANNOTATIONS:
+            continue
+        check = _KEYWORDS.get(key)
+        if check is None:
+            raise ValueError(f"schema keyword {key!r} is not implemented")
+        if not check(doc, value, schema, root):
+            return False
+    return True
+
+
+def _refuse(doc) -> NoReturn:
+    """Raise the ValidationError of a document ``_conforms`` refused,
+    worded by jsonschema's best match.  Should jsonschema find no error,
+    the document is refused all the same."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_problem_validator().iter_errors(doc))
+    if error is None:
+        raise ValidationError("<root>: document does not conform to the problem schema")
+    path = ".".join(str(p) for p in error.absolute_path) or "<root>"
+    raise ValidationError(f"{path}: {error.message}") from error
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,10 +267,8 @@ def parse_problem(text: str) -> ProblemFile:
         doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    error = jsonschema.exceptions.best_match(_problem_validator().iter_errors(doc))
-    if error is not None:
-        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ValidationError(f"{path}: {error.message}") from error
+    if not _conforms(doc, _problem_schema()):
+        _refuse(doc)
     tol = DEFAULT.with_overrides(**{name: _to_float(value, f"tolerances.{name}")
                                     for name, value in doc.get("tolerances", {}).items()})
     if doc["kind"] == "abstract":

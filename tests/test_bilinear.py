@@ -1,5 +1,6 @@
 """Core form machinery: inertia on both backends, decomposition,
 restriction oracle, projections, maximal negative subspaces."""
+import json
 import subprocess
 import sys
 import warnings
@@ -859,6 +860,23 @@ def test_import_leaves_scipy_linalg_unloaded():
         assert out.split() == ["False"]
 
 
+def test_accepting_a_document_leaves_jsonschema_unloaded(tmp_path):
+    # only a refused document imports jsonschema, to word the refusal
+    for module in ("morsekit", "morsekit.cli"):
+        out = _fresh(f"import {module}; print('jsonschema' in sys.modules)")
+        assert out.split() == ["False"]
+    doc = {"kind": "pde", "domain": {"a": 0.0, "b": 1.0, "n_elements": 16},
+           "p": {"constant": 0.0}, "q_a": 1.0, "q_b": 1.0}
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(doc))
+    bad.write_text(json.dumps({**doc, "domain": {**doc["domain"], "n_elements": 0}}))
+    code = ("sys.stderr = sys.stdout; from morsekit.cli import main; "
+            "rc = main(['pde', {!r}]); print(rc, 'jsonschema' in sys.modules)")
+    assert _fresh(code.format(str(good))).splitlines()[-1] == "0 False"
+    assert _fresh(code.format(str(bad))).splitlines() == [
+        "error: domain.n_elements: 0 is less than the minimum of 1", "2 True"]
+
+
 def test_scipy_linalg_shares_the_loaded_routines():
     for first, second in (("morsekit", "scipy.linalg"), ("scipy.linalg", "morsekit")):
         out = _fresh(f"import {first}, {second}, scipy.linalg, morsekit._lapack as m; "
@@ -917,6 +935,15 @@ def test_s_project_is_finite_near_the_float_range_end():
         u, v = 1e3 * rng.standard_normal(n), rng.standard_normal(n)
         want = (form.evaluate(u, v) / form.quadratic(u)) * u
         assert s_project(form, u, v).tolist() == want.tolist()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_s_project_is_finite_for_a_tiny_direction():
+    # S(u, u) = 1e-400 underflows to 0 unless u is scaled up first
+    form = float_form(np.diag([1.0, 2.0]))
+    for tiny in (1e-200, 1e-170):
+        out = s_project(form, np.array([tiny, 0.0]), np.array([1.0, 1.0]))
+        assert out.tolist() == [1.0, 0.0]
 
 
 def test_oracle_pullback_does_not_overflow_near_the_float_range_end():

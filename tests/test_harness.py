@@ -1,10 +1,12 @@
 """Problem files, reports, the fuzz campaign, and the command line."""
+import copy
 import dataclasses
 import hashlib
 import importlib
 import importlib.util
 import json
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -232,6 +234,96 @@ def test_schema_messages_are_stable(changes, message):
     with pytest.raises(ValidationError) as exc:
         parse_problem(json.dumps(doc))
     assert str(exc.value) == message
+
+
+# atoms and keys the mutations draw from: the schema's own words, and values
+# of every JSON type on both sides of its bounds; the seven-term polynomial
+# sits at maxItems
+_ATOMS = (True, False, None, 0, 1, -1, 2, 1.0, 3.0, 0.5, -2.5, 1e300, "1/0", "x", "",
+          "-3/4", "7", "abstract", "pde", "exact", "float", "volume", "decomposition",
+          "weak_index", [], {}, [1], ["1/2", 0.0], [[1]], {"constant": 1.0})
+_KEYS = ("kind", "dim", "form", "gram", "backend", "constraints", "tolerances", "null_band",
+         "marginal_factor", "domain", "a", "b", "n_elements", "p", "constant", "polynomial",
+         "nodal", "q_a", "q_b", "checks", "extra")
+_CORPUS_BASES = (
+    json.loads(ABSTRACT_DOC),
+    _FLOAT_ABSTRACT,
+    {"kind": "abstract", "dim": 2, "form": [[1, "1/2"], ["1/2", -3]],
+     "gram": [[2, 0], [0, 1.0]], "tolerances": {"null_band": 1e-9, "marginal_factor": 10}},
+    json.loads(PDE_DOC),
+    _PDE_BASE,
+    {**_FLOAT_PDE, "p": {"polynomial": [60.0, -20.0, 35.0, 0, 1, -2.5, 3.0]}, "constraints": [[0.5, -1, "1/3"]],
+     "checks": ["decomposition", "weak_index"], "tolerances": {"rank": 1e-12}},
+    {**_FLOAT_PDE, "domain": {"a": 0.0, "b": 1.0, "n_elements": 2}, "p": {"nodal": [0.0, 1.0, 2.0]}},
+)
+
+
+def _mutated(rng, base):
+    """A copy of base with one to three values replaced, deleted, added or
+    appended anywhere in it."""
+    doc = copy.deepcopy(base)
+    for _ in range(rng.randint(1, 3)):
+        nodes, stack = [], [doc]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                nodes.append(node)
+                stack.extend(node.values() if isinstance(node, dict) else node)
+        node = rng.choice(nodes)
+        op = rng.choice(("replace", "delete", "add", "append"))
+        atom = copy.deepcopy(rng.choice(_ATOMS))
+        if op in ("replace", "delete") and node:
+            key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+            if op == "replace":
+                node[key] = atom
+            else:
+                del node[key]
+        elif isinstance(node, dict):
+            node[rng.choice(_KEYS)] = atom
+        elif op == "add":
+            node.insert(rng.randint(0, len(node)), atom)
+        else:
+            node.append(atom)
+    return doc
+
+
+def test_conforms_agrees_with_jsonschema():
+    schema = harness._problem_schema()
+    validator = jsonschema.Draft202012Validator(schema)
+    fixtures = [json.loads(ABSTRACT_DOC), json.loads(PDE_DOC), _PDE_BASE,
+                _FLOAT_ABSTRACT, _FLOAT_PDE, *(doc for _, doc in HUGE_INTEGER_DOCS),
+                *(json.loads(text) for _, text in NON_FINITE_DOCS)]
+    for doc in fixtures:
+        assert validator.is_valid(doc) and harness._conforms(doc, schema)
+    rng = random.Random(20201)
+    valid = 0
+    for _ in range(20000):
+        doc = _mutated(rng, rng.choice(_CORPUS_BASES))
+        expected = validator.is_valid(doc)
+        assert harness._conforms(doc, schema) == expected, doc
+        valid += expected
+    # both outcomes are common
+    assert min(valid, 20000 - valid) > 2000
+
+
+def test_conforms_raises_on_a_keyword_it_does_not_implement():
+    with pytest.raises(ValueError, match="'maximum'"):
+        harness._conforms(3, {"type": "number", "maximum": 2})
+    # reached through properties, items and $ref alike
+    schema = {"properties": {"a": {"items": {"$ref": "#/$defs/even"}}},
+              "$defs": {"even": {"type": "integer", "multipleOf": 2}}}
+    assert harness._conforms({"a": [1.5]}, schema) is False
+    with pytest.raises(ValueError, match="'multipleOf'"):
+        harness._conforms({"a": [4]}, schema)
+    with pytest.raises(ValueError, match="not a local"):
+        harness._conforms(1, {"$ref": "other.json#/$defs/x"})
+
+
+def test_a_document_the_checker_refuses_is_refused(monkeypatch):
+    # jsonschema words a refusal but never overturns one
+    monkeypatch.setattr(harness, "_conforms", lambda doc, schema: False)
+    with pytest.raises(ValidationError, match="^<root>: document does not conform"):
+        parse_problem(PDE_DOC)
 
 
 def test_parse_pde_defaults():
