@@ -43,5 +43,5 @@ def _load(name: str):
 _flapack = _load("_flapack")
 dsyevr, dsyevr_lwork, dsygvd = _flapack.dsyevr, _flapack.dsyevr_lwork, _flapack.dsygvd
 dgeqp3, dgeqrf, dorgqr = _flapack.dgeqp3, _flapack.dgeqrf, _flapack.dorgqr
-dstebz, dgtsv, dpttrf, dpotrf = _flapack.dstebz, _flapack.dgtsv, _flapack.dpttrf, _flapack.dpotrf
+dstebz, dgtsv, dpttrf = _flapack.dstebz, _flapack.dgtsv, _flapack.dpttrf
 dnrm2 = _load("_fblas").dnrm2

@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from . import exactla
-from ._lapack import (dgeqp3, dgeqrf, dgtsv, dnrm2, dorgqr, dpotrf, dpttrf, dstebz,
-                      dsyevr, dsyevr_lwork, dsygvd)
+from ._lapack import (dgeqp3, dgeqrf, dgtsv, dnrm2, dorgqr, dpttrf, dstebz, dsyevr,
+                      dsyevr_lwork, dsygvd)
 from .errors import (
     EigensolverFailure,
     IsotropicDirection,
@@ -155,45 +155,43 @@ def _check_symmetric(matrix: np.ndarray, tol: Tolerances, what: str) -> None:
                            f"(max asymmetry {gap:.3e})")
 
 
-def _eigh(matrix: np.ndarray, gram: np.ndarray | None = None, vectors: bool = True):
+def _eigh(matrix: np.ndarray, gram: np.ndarray | None = None):
     """(eigenvalues, eigenvectors) of the dense float pencil (matrix, gram),
     from the lower triangles, by one LAPACK call: dsyevr with its queried
     workspace for the standard problem (gram None), dsygvd for the
     generalized one.  These are the routines and workspaces that
     ``scipy.linalg.eigh`` picks by default, so the results are bitwise
-    its results, without its wrapper's cost on small matrices.  The
-    eigenvectors are None, and not computed, when ``vectors`` is false;
-    the two paths round differently, so forms are factored with vectors,
-    and the values-only path serves the dense spectra of
-    :mod:`morsekit.boundary` alone.  A non-finite entry, a failed
-    iteration and a gram that is not positive definite raise
-    EigensolverFailure."""
+    its results, without its wrapper's cost on small matrices.  A
+    non-finite entry, a failed iteration and a gram that is not positive
+    definite raise EigensolverFailure."""
     n = matrix.shape[0]
     if n == 0:
-        return np.empty(0), (np.empty((0, 0)) if vectors else None)
+        return np.empty(0), np.empty((0, 0))
     if not (np.isfinite(matrix).all() and (gram is None or np.isfinite(gram).all())):
         raise EigensolverFailure("array must not contain infs or NaNs")
     if gram is None:
         work, iwork, info = dsyevr_lwork(n, lower=1)
         if info == 0:
-            w, v, _, _, info = dsyevr(matrix, compute_v=int(vectors), lower=1,
-                                      lwork=int(work), liwork=int(iwork))
+            w, v, _, _, info = dsyevr(matrix, compute_v=1, lower=1, lwork=int(work),
+                                      liwork=int(iwork))
     else:
-        w, v, info = dsygvd(matrix, gram, jobz="V" if vectors else "N", uplo="L")
+        w, v, info = dsygvd(matrix, gram, jobz="V", uplo="L")
     if info > n and gram is not None:
         raise EigensolverFailure(f"the leading minor of order {info - n} of the gram "
                                  "is not positive definite")
     if info:
         raise EigensolverFailure(f"LAPACK {'dsyevr' if gram is None else 'dsygvd'} "
                                  f"failed (info {info})")
-    return w, (v if vectors else None)
+    return w, v
 
 
 def _positive_definite(g: np.ndarray, tol: Tolerances) -> bool:
     """Whether the symmetric gram g is positive definite: every exact
     congruence pivot is positive, or the zero-band rule
     (``classify_counts``) counts every floating eigenvalue positive, so
-    the zero gram is refused."""
+    the zero gram is refused.  A tridiagonal gram is proven by the LDL^T
+    of the gram shifted down past the band, and counted by Sturm when
+    that factorization fails; a dense float gram by its eigenvalues."""
     n = g.shape[0]
     if n == 0:
         return True
@@ -201,41 +199,18 @@ def _positive_definite(g: np.ndarray, tol: Tolerances) -> bool:
         if _ldl_definite(g.diag - _clearing_shift(g, g.row_sum_norm(), tol), g.off):
             return True
         return SturmFactorization(g, Tridiagonal.identity(n)).inertia(tol).positive == n
-    d = np.diagonal(g)
-    if np.count_nonzero(g) == np.count_nonzero(d):
-        # a diagonal gram's eigenvalues are its diagonal
-        if g.dtype == object:
-            return all(x > 0 for x in d)
-        return classify_spectrum(d, tol)[2] == n
     if g.dtype == object:
         neg, zero, _ = exactla.inertia_counts(g)
         return not (neg or zero)
-    if _cholesky_clears_band(g, tol):
-        return True
     return classify_spectrum(np.linalg.eigvalsh(g), tol)[2] == n
 
 
-def _cholesky_clears_band(g: np.ndarray, tol: Tolerances) -> bool:
-    """A sufficient test for the floating rule of ``_positive_definite``.
-
-    r, the largest absolute row sum, bounds the spectral radius, so a
-    Cholesky factorization of g - 2 * band(r) * I proves that the smallest
-    eigenvalue of g exceeds band(r) >= band(spectral radius), with a
-    margin of band(r) for the rounding of the factorization.  The shift
-    never drops below a rounding bound of order n * eps * r.  A failure
-    proves nothing, and the caller falls back to the eigenvalues.
-    """
-    shifted = g.copy()
-    shifted.flat[::g.shape[0] + 1] -= _clearing_shift(g, float(np.linalg.norm(g, np.inf)), tol)
-    # the transpose is the Fortran-ordered view LAPACK factors in place; its
-    # upper triangle is the lower triangle eigvalsh reads
-    _, info = dpotrf(shifted.T, lower=False, overwrite_a=True, clean=False)
-    return info == 0
-
-
 def _clearing_shift(g, r: float, tol: Tolerances) -> float:
-    """The diagonal shift of ``_cholesky_clears_band`` for a gram whose
-    largest absolute row sum is r."""
+    """Twice the zero band of r, a bound of the gram's spectral radius, and
+    never less than twice the rounding bound n * eps * r of an LDL^T: a
+    factorization of g less this shift proves the smallest eigenvalue of g
+    above band(r) >= band(spectral radius), with a margin of band(r) for
+    its own rounding.  A failed factorization proves nothing."""
     return 2.0 * max(zero_band(r, tol), g.shape[0] * _EPS * r)
 
 

@@ -259,7 +259,7 @@ def robin_spectrum(problem: AssembledProblem) -> np.ndarray:
     """Eigenvalues of Qmat x = lambda Mmass x, ascending, by a dense
     eigensolve: the O(n^3) reference for the Robin factorization, whose
     count below the zero band is the Morse index of the discrete form."""
-    return _eigh(problem.Qmat, problem.Mmass, vectors=False)[0]
+    return _eigh(problem.Qmat, problem.Mmass)[0]
 
 
 def dirichlet_spectrum(problem: AssembledProblem) -> np.ndarray:
@@ -267,7 +267,7 @@ def dirichlet_spectrum(problem: AssembledProblem) -> np.ndarray:
     against the interior mass block, by a dense eigensolve: the O(n^3)
     reference for the Dirichlet factorization."""
     i = slice(1, problem.n_nodes - 1)
-    return _eigh(problem.Qmat[i, i], problem.Mmass[i, i], vectors=False)[0]
+    return _eigh(problem.Qmat[i, i], problem.Mmass[i, i])[0]
 
 
 def _schur_boundary(problem: AssembledProblem) -> np.ndarray:
@@ -310,8 +310,8 @@ def steklov_spectrum(problem: AssembledProblem,
     neg, zero, _, marginal = classify_spectrum(w, tol)
     b = neg
     if q_a > 0 and q_b > 0:
-        # the driver and call of scipy.linalg.eigh(T, D_B, eigvals_only=True);
-        # _eigh is kept for the dense n x n spectra, which a pde op never forms
+        # scipy.linalg.eigh(T, D_B, eigvals_only=True): mu is printed, and
+        # _eigh, which also computes vectors, would round it differently
         w_mu, _, info = dsygvd(T, D_B, jobz="N", uplo="L")
         if info:
             raise EigensolverFailure(f"LAPACK dsygvd failed (info {info})")

@@ -97,10 +97,7 @@ def main(argv=None) -> int:
                     raise ValidationError(f"--k expects integers, got {args.k!r}")
             report = fuzz(args.seed, args.trials, dim_max=args.dim_max,
                           backend=args.backend, k_choices=k_choices, tol=tol)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValidationError) as exc:
+    except (FileNotFoundError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args.format)

@@ -302,7 +302,8 @@ def _parse_pde(doc: dict, tol: Tolerances) -> ProblemFile:
     a, b = _to_float(d["a"], "domain.a"), _to_float(d["b"], "domain.b")
     if not a < b:
         raise ValidationError("domain must have a < b")
-    domain = IntervalDomain(a, b, d["n_elements"])
+    # the schema calls an integral float such as 4.0 an integer
+    domain = IntervalDomain(a, b, int(d["n_elements"]))
     pspec = doc["p"]
     if "constant" in pspec:
         p = Constant(_to_float(pspec["constant"], "p.constant"))
